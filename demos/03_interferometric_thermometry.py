@@ -10,6 +10,8 @@ floor set by the bath's own finite size.
 
 import math
 
+import numpy as np
+
 from thermoscale import (
     BathSpec,
     RngStream,
@@ -20,7 +22,7 @@ from thermoscale import (
     fit_power_law,
     max_theta,
     noon_outcome_probability,
-    run_sn_trials,
+    run_interferometer_trials,
     sigma_beta_sn_theory,
 )
 
@@ -59,6 +61,8 @@ floor = bath_intrinsic_sigma(100, 1.0, 1.0)
 print(f"intrinsic floor of a 100-atom bath: {floor:.5f}")
 print(f"{'passes':>7} {'empirical':>10} {'if isolated':>12}")
 for i, shots in enumerate((100, 1000, 10000, 100000)):
-    batch = run_sn_trials(small_bath, shots, 1500, "sampled_m", RngStream(404, i))
-    print(f"{shots:7d} {batch.sample_std:10.5f} {sigma_beta_sn_theory(small_bath, shots):12.5f}")
+    # the single-atom protocol is the engine with one atom and one shot per pass
+    _, betas = run_interferometer_trials(small_bath, 1, shots, 1500, "sampled_m", RngStream(404, i))
+    spread = np.nanstd(betas, ddof=1)
+    print(f"{shots:7d} {spread:10.5f} {sigma_beta_sn_theory(small_bath, shots):12.5f}")
 print("more passes stop helping once the bath's thermal fluctuations dominate")

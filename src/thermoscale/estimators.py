@@ -73,7 +73,7 @@ class TrialBatch:
         return self.invalid_count + len(self.estimates)
 
 
-def make_batch(estimates: list[float], invalid_count: int) -> TrialBatch:
+def make_batch(estimates: "list[float] | np.ndarray", invalid_count: int) -> TrialBatch:
     """Assemble a :class:`TrialBatch`, requiring at least two valid estimates."""
     if len(estimates) < 2:
         raise EmptyBatchError(

@@ -12,6 +12,9 @@ statistics:
   (an all-or-nothing superposition), so the fringe oscillates in
   ``N * phi_b`` and the phase spread falls as ``1/N``.
 
+One engine, :func:`run_interferometer_trials`, runs both: the single-atom
+protocol is the entangled one with one atom and one shot per probe.
+
 Both close the interferometer with the same splitter convention, modelled on
 the two-dimensional subspace of "all atoms in arm 3" / "all atoms in arm 4"
 as the unitary ``[[1, i], [i, 1]] / sqrt(2)``; a bare occupation measurement
@@ -35,7 +38,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .estimators import EstimatorMode, ModeLike, TrialBatch, _as_mode, make_batch
+from .estimators import EstimatorMode, ModeLike, _as_mode
 from .rng import RngStream
 from .thermal import excitation_probability
 
@@ -102,16 +105,6 @@ class BathSpec:
         return excitation_probability(self.epsilon, self.beta_true)
 
 
-@dataclass(frozen=True)
-class InterferometerOutcome:
-    """One run's realized bath count, accumulated phase, and detector record."""
-
-    m_realized: int
-    phi_b: float
-    counts_port_a: int
-    shots: int
-
-
 def require_phase_window(bath: BathSpec, n_atoms: int = 1) -> None:
     """Reject configurations whose worst-case accumulated phase is ambiguous.
 
@@ -150,51 +143,15 @@ def bath_excitation_draw(
     return int(gen.binomial(bath.m_atoms, p))
 
 
-def single_port_probability(phi: float) -> float:
-    """Detection probability ``cos^2(phi/2)`` at the designated output port."""
-    return math.cos(phi / 2.0) ** 2
-
-
 def noon_outcome_probability(n_atoms: int, phi_b: float) -> float:
     """Probability ``cos^2(n_atoms * phi_b / 2)`` of the all-atoms-at-port outcome.
 
     The complementary outcome has probability ``sin^2`` of the same argument.
-    With one atom this is exactly :func:`single_port_probability`.
+    With one atom this is the plain fringe ``cos^2(phi_b / 2)``.
     """
     if n_atoms < 1:
         raise ValueError(f"n_atoms must be at least 1, got {n_atoms}")
     return math.cos(n_atoms * phi_b / 2.0) ** 2
-
-
-def sample_interferometer_outcome(
-    bath: BathSpec,
-    n_atoms: int,
-    shots: int,
-    mode: BathModeLike,
-    rng: Union[RngStream, np.random.Generator],
-) -> InterferometerOutcome:
-    """Draw the bath count once, then the detector record of ``shots`` repeats."""
-    if shots < 1:
-        raise ValueError(f"shots must be at least 1, got {shots}")
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
-    m = bath_excitation_draw(bath, mode, gen)
-    phi_b = bath.theta * m
-    p_port = noon_outcome_probability(n_atoms, phi_b)
-    counts = int(gen.binomial(shots, p_port))
-    return InterferometerOutcome(m_realized=m, phi_b=phi_b, counts_port_a=counts, shots=shots)
-
-
-def _port_fraction(counts: int, shots: int, estimator: ModeLike) -> float:
-    if _as_mode(estimator) is EstimatorMode.RAW:
-        return counts / shots
-    return (counts + 0.5) / (shots + 1.0)
-
-
-def estimate_total_phase(counts: int, shots: int, mode: ModeLike = EstimatorMode.JEFFREYS) -> float:
-    """Accumulated-phase estimate ``2 * arccos(sqrt(p_hat))`` from a detector record."""
-    if not 0 <= counts <= shots:
-        raise ValueError(f"counts {counts} outside [0, {shots}]")
-    return 2.0 * math.acos(math.sqrt(_port_fraction(counts, shots, mode)))
 
 
 def beta_from_port_fraction(p_hat: float, n_atoms: int, bath: BathSpec) -> Optional[float]:
@@ -214,112 +171,38 @@ def beta_from_port_fraction(p_hat: float, n_atoms: int, bath: BathSpec) -> Optio
     return math.log(bath.m_atoms / m_hat - 1.0) / bath.epsilon
 
 
-def _protocol_trial(
-    bath: BathSpec,
-    n_atoms: int,
-    shots: int,
-    mode: BathModeLike,
-    gen: np.random.Generator,
-    estimator: ModeLike,
-) -> tuple[float, Optional[float]]:
-    """One trial: returns (phase estimate, beta estimate or None)."""
-    outcome = sample_interferometer_outcome(bath, n_atoms, shots, mode, gen)
-    p_hat = _port_fraction(outcome.counts_port_a, outcome.shots, estimator)
-    phi_b_hat = 2.0 * math.acos(math.sqrt(p_hat)) / n_atoms
-    return phi_b_hat, beta_from_port_fraction(p_hat, n_atoms, bath)
-
-
-def run_sn_protocol(
-    bath: BathSpec,
-    n_shots: int,
-    mode: BathModeLike,
-    rng: RngStream,
-    estimator: ModeLike = EstimatorMode.JEFFREYS,
-) -> Optional[float]:
-    """One single-atom-probe trial: ``n_shots`` independent passes, one beta estimate.
-
-    Returns ``None`` when the inferred bath count leaves ``(0, m_atoms)``,
-    which is how a fringe pinned at an extremum (e.g. a RAW count of 0 or
-    ``n_shots``) manifests.
-    """
-    require_phase_window(bath, 1)
-    if n_shots < 1:
-        raise ValueError(f"n_shots must be at least 1, got {n_shots}")
-    _, beta_hat = _protocol_trial(bath, 1, n_shots, mode, rng.generator(), estimator)
-    return beta_hat
-
-
-def run_noon_protocol(
-    bath: BathSpec,
-    n_atoms: int,
-    repetitions: int,
-    mode: BathModeLike,
-    rng: RngStream,
-    estimator: ModeLike = EstimatorMode.JEFFREYS,
-) -> Optional[float]:
-    """One entangled-probe trial: ``repetitions`` shots of ``n_atoms`` atoms together.
-
-    The bath count is drawn once and held fixed across the repetitions within
-    the trial (the bath is isolated while a measurement runs). With
-    ``n_atoms=1`` this is bit-identical to :func:`run_sn_protocol`.
-    """
-    require_phase_window(bath, n_atoms)
-    if repetitions < 2:
-        raise ValueError(f"repetitions must be at least 2, got {repetitions}")
-    _, beta_hat = _protocol_trial(bath, n_atoms, repetitions, mode, rng.generator(), estimator)
-    return beta_hat
-
-
-def _run_trials(
+def run_interferometer_trials(
     bath: BathSpec,
     n_atoms: int,
     shots: int,
     trials: int,
     mode: BathModeLike,
     rng: RngStream,
-    estimator: ModeLike,
-) -> TrialBatch:
+    estimator: ModeLike = EstimatorMode.JEFFREYS,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Run ``trials`` trials of either protocol, ``shots`` shots of ``n_atoms`` atoms each.
+
+    Trial ``t`` draws from ``rng.substream(t)``: the bath count once, held
+    fixed over its shots, then the port count. Returns the per-trial phase
+    estimates, always finite, and beta estimates, NaN where the inferred
+    count leaves ``(0, m_atoms)`` (a fringe pinned at an extremum, such as a
+    RAW count of 0 or ``shots``).
+    """
     require_phase_window(bath, n_atoms)
-    if trials < 2:
-        raise ValueError(f"trials must be at least 2, got {trials}")
-    estimates: list[float] = []
-    invalid = 0
-    for gen in rng.generators(trials):
-        _, beta_hat = _protocol_trial(bath, n_atoms, shots, mode, gen, estimator)
-        if beta_hat is None:
-            invalid += 1
-        else:
-            estimates.append(beta_hat)
-    return make_batch(estimates, invalid)
-
-
-def run_sn_trials(
-    bath: BathSpec,
-    n_shots: int,
-    trials: int,
-    mode: BathModeLike,
-    rng: RngStream,
-    estimator: ModeLike = EstimatorMode.JEFFREYS,
-) -> TrialBatch:
-    """Batch of single-atom-probe trials; trial ``t`` draws from ``rng.substream(t)``."""
-    if n_shots < 1:
-        raise ValueError(f"n_shots must be at least 1, got {n_shots}")
-    return _run_trials(bath, 1, n_shots, trials, mode, rng, estimator)
-
-
-def run_noon_trials(
-    bath: BathSpec,
-    n_atoms: int,
-    repetitions: int,
-    trials: int,
-    mode: BathModeLike,
-    rng: RngStream,
-    estimator: ModeLike = EstimatorMode.JEFFREYS,
-) -> TrialBatch:
-    """Batch of entangled-probe trials; trial ``t`` draws from ``rng.substream(t)``."""
-    if repetitions < 2:
-        raise ValueError(f"repetitions must be at least 2, got {repetitions}")
-    return _run_trials(bath, n_atoms, repetitions, trials, mode, rng, estimator)
+    if shots < 1:
+        raise ValueError(f"shots must be at least 1, got {shots}")
+    mode = _as_bath_mode(mode)
+    raw = _as_mode(estimator) is EstimatorMode.RAW
+    phases = np.empty(trials, dtype=float)
+    betas = np.empty(trials, dtype=float)
+    for t, gen in enumerate(rng.generators(trials)):
+        m = bath_excitation_draw(bath, mode, gen)
+        counts = int(gen.binomial(shots, noon_outcome_probability(n_atoms, bath.theta * m)))
+        p_hat = counts / shots if raw else (counts + 0.5) / (shots + 1.0)
+        phases[t] = 2.0 * math.acos(math.sqrt(p_hat)) / n_atoms
+        beta_hat = beta_from_port_fraction(p_hat, n_atoms, bath)
+        betas[t] = math.nan if beta_hat is None else beta_hat
+    return phases, betas
 
 
 def noon_phase_estimates(
@@ -331,17 +214,9 @@ def noon_phase_estimates(
     rng: RngStream,
     estimator: ModeLike = EstimatorMode.JEFFREYS,
 ) -> np.ndarray:
-    """Per-trial bath-phase estimates of the same trials as :func:`run_noon_trials`.
-
-    Reuses the identical substreams, so the draws (and therefore the trials)
-    match the beta batch bit for bit; the phase estimate itself is always
-    finite, even for trials whose beta estimate is invalid.
-    """
-    require_phase_window(bath, n_atoms)
-    phases = np.empty(trials, dtype=float)
-    for t, gen in enumerate(rng.generators(trials)):
-        phases[t], _ = _protocol_trial(bath, n_atoms, repetitions, mode, gen, estimator)
-    return phases
+    """Per-trial phase estimates of the entangled protocol: the phase half of
+    :func:`run_interferometer_trials`, finite even where the beta estimate is invalid."""
+    return run_interferometer_trials(bath, n_atoms, repetitions, trials, mode, rng, estimator)[0]
 
 
 def sigma_m_sn_theory(theta: float, n_shots: int) -> float:

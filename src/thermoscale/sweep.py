@@ -14,19 +14,18 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Optional, Sequence, TextIO
 
-from scipy import stats as _scipy_stats
+import numpy as np
 
-from .estimators import EstimatorMode, ModeLike, run_thermalizing_trials, EmptyBatchError
+from .estimators import EstimatorMode, ModeLike, make_batch, run_thermalizing_trials, EmptyBatchError
 from .interferometry import (
     BathMode,
     BathModeLike,
     BathSpec,
     require_phase_window,
-    run_noon_trials,
-    run_sn_trials,
+    run_interferometer_trials,
     sigma_beta_h_theory,
     sigma_beta_sn_theory,
 )
@@ -124,11 +123,12 @@ def _point_batch(plan: SweepPlan, n: int, stream: RngStream):
     if plan.protocol == "thermalizing":
         spec = TwoLevelSpec(n_atoms=n, epsilon=plan.epsilon)
         return run_thermalizing_trials(spec, plan.beta_true, plan.trials_per_n, plan.estimator, stream)
-    if plan.protocol == "sn":
-        return run_sn_trials(plan.bath, n, plan.trials_per_n, plan.bath_mode, stream, plan.estimator)
-    return run_noon_trials(
-        plan.bath, n, plan.repetitions, plan.trials_per_n, plan.bath_mode, stream, plan.estimator
+    n_atoms, shots = (1, n) if plan.protocol == "sn" else (n, plan.repetitions)
+    _, betas = run_interferometer_trials(
+        plan.bath, n_atoms, shots, plan.trials_per_n, plan.bath_mode, stream, plan.estimator
     )
+    valid = betas[~np.isnan(betas)]
+    return make_batch(valid, len(betas) - len(valid))
 
 
 def _point_theory(plan: SweepPlan, n: int) -> float:
@@ -176,18 +176,25 @@ def fit_power_law(points: Sequence[tuple[int, float]]) -> ScalingFit:
         raise ValueError("all points must have positive n and sigma")
     log_n = [math.log(n) for n, _ in points]
     log_s = [math.log(s) for _, s in points]
-    result = _scipy_stats.linregress(log_n, log_s)
-    slope, intercept = float(result.slope), float(result.intercept)
-    # residual-based r^2; a zero-variance response with zero residuals is a
-    # perfect fit, not an undefined correlation
-    mean_log_s = sum(log_s) / len(log_s)
-    ss_res = sum((y - (slope * x + intercept)) ** 2 for x, y in zip(log_n, log_s))
-    ss_tot = sum((y - mean_log_s) ** 2 for y in log_s)
-    r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+    # ordinary least squares; the slope error uses the correlation clipped to [-1, 1]
+    ssxm, ssxym, _, ssym = np.cov(log_n, log_s, bias=1).flat
+    slope = float(ssxym / ssxm)
+    intercept = float(np.mean(log_s) - slope * np.mean(log_n))
+    if ssym == 0.0:
+        # a flat response is fitted exactly, not an undefined correlation
+        stderr_slope, r_squared = 0.0, 1.0
+    else:
+        r = min(max(ssxym / np.sqrt(ssxm * ssym), -1.0), 1.0)
+        stderr_slope = float(np.sqrt((1 - r**2) * ssym / ssxm / (len(points) - 2)))
+        # residual-based r^2
+        mean_log_s = sum(log_s) / len(log_s)
+        ss_res = sum((y - (slope * x + intercept)) ** 2 for x, y in zip(log_n, log_s))
+        ss_tot = sum((y - mean_log_s) ** 2 for y in log_s)
+        r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     return ScalingFit(
         slope=slope,
         intercept=intercept,
-        stderr_slope=float(result.stderr),
+        stderr_slope=stderr_slope,
         r_squared=r_squared,
         points=tuple((int(n), float(s)) for n, s in points),
     )
@@ -299,7 +306,19 @@ def write_results(
     fmt: str,
     out: TextIO,
 ) -> None:
-    """Write sweep records (and the fit summary, when given) to an open text sink."""
+    """Write sweep records (and the fit summary, when given) to an open text sink.
+
+    Refuses NaN and infinities, which neither format can carry, before
+    writing anything.
+    """
+    rows = [(f"record n={r.n}", r) for r in records]
+    if fit is not None:
+        rows.append(("fit", fit))
+    for label, row in rows:
+        for field in fields(row):
+            value = getattr(row, field.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{label}: {field.name} is {value}; result files hold finite numbers only")
     if fmt == "csv":
         out.write(CSV_HEADER + "\n")
         for r in records:

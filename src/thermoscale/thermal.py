@@ -11,16 +11,14 @@ the total energy variance, which yields the ensemble-size scaling of the
 best-achievable spread of any inverse-temperature estimate.
 
 All functions are pure and safe for concurrent use. ``beta`` must be
-nonnegative everywhere; the internal forms stay finite for ``x`` up to about
-700 because nothing ever exponentiates ``x`` with a positive sign.
+nonnegative everywhere; the internal forms stay finite for any such ``x``,
+and the excited population underflows to 0 once ``exp(x)`` overflows.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from scipy.special import expit
 
 
 class DegenerateSensitivityError(ValueError):
@@ -69,6 +67,14 @@ def _check_beta(beta: float) -> float:
     return float(beta)
 
 
+def _logistic_tail(x: float) -> float:
+    """``1 / (1 + exp(x))`` for ``x >= 0``, underflowing to 0 where ``exp(x)`` overflows."""
+    try:
+        return 1.0 / (1.0 + math.exp(x))
+    except OverflowError:
+        return 0.0
+
+
 def excitation_probability(epsilon: float, beta: float) -> float:
     """Excited-level population ``1 / (1 + exp(beta * epsilon))`` of one atom.
 
@@ -79,14 +85,14 @@ def excitation_probability(epsilon: float, beta: float) -> float:
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     _check_beta(beta)
-    return float(expit(-beta * epsilon))
+    return _logistic_tail(beta * epsilon)
 
 
 def thermal_summary(spec: TwoLevelSpec, beta: float) -> ThermalSummary:
     """All closed-form thermal statistics of ``spec`` at inverse temperature ``beta``."""
     beta = _check_beta(beta)
     x = beta * spec.epsilon
-    p = float(expit(-x))
+    p = _logistic_tail(x)
     # log of the one-atom partition sum, 1 + exp(-x); exp(-x) <= 1 so this never overflows
     log_z = spec.n_atoms * math.log1p(math.exp(-x))
     eps_bar = spec.epsilon * p

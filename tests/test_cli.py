@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -210,3 +214,13 @@ class TestConfigFile:
         with pytest.raises(SystemExit) as info:
             run_cli("explode")
         assert info.value.code == 2
+
+
+def test_import_does_not_load_scipy():
+    # a fresh interpreter, so modules imported by other tests cannot mask a regression
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, thermoscale, thermoscale.cli; print('scipy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from thermoscale.estimators import EmptyBatchError
+from thermoscale.estimators import EmptyBatchError, make_batch
 from thermoscale.interferometry import (
     BathMode,
     BathSpec,
@@ -17,24 +17,36 @@ from thermoscale.interferometry import (
     noon_outcome_probability,
     noon_phase_estimates,
     require_phase_window,
-    run_noon_protocol,
-    run_noon_trials,
-    run_sn_protocol,
-    run_sn_trials,
-    sample_interferometer_outcome,
+    run_interferometer_trials,
     sigma_beta_h_theory,
     sigma_beta_sn_theory,
     sigma_m_sn_theory,
-    single_port_probability,
 )
 from thermoscale.oracle import noon_probs_exact
 from thermoscale.rng import RngStream
+from thermoscale.sweep import SweepAbortError, SweepPlan, collect_sweep_records
 
 LN3 = math.log(3.0)
 
 
 def make_bath(m_atoms=100, beta=LN3, theta=math.pi / 200.0, epsilon=1.0):
     return BathSpec(m_atoms=m_atoms, epsilon=epsilon, beta_true=beta, alpha=theta, tau=1.0)
+
+
+def beta_batch(*engine_args, **engine_kwargs):
+    """Engine trials reduced to a beta batch, as a sweep point reduces them."""
+    _, betas = run_interferometer_trials(*engine_args, **engine_kwargs)
+    valid = betas[~np.isnan(betas)]
+    return make_batch(valid, len(betas) - len(valid))
+
+
+def replay_trial(bath, n_atoms, shots, mode, gen, estimator="jeffreys"):
+    """One trial rebuilt from public primitives: (m, counts, phase, beta or None)."""
+    m = bath_excitation_draw(bath, mode, gen)
+    counts = int(gen.binomial(shots, noon_outcome_probability(n_atoms, bath.theta * m)))
+    p_hat = counts / shots if estimator == "raw" else (counts + 0.5) / (shots + 1.0)
+    phase = 2.0 * math.acos(math.sqrt(p_hat)) / n_atoms
+    return m, counts, phase, beta_from_port_fraction(p_hat, n_atoms, bath)
 
 
 class TestBathExcitationDraw:
@@ -59,13 +71,13 @@ class TestBathExcitationDraw:
 
 class TestPortProbabilities:
     def test_constructive_and_destructive(self):
-        assert single_port_probability(0.0) == 1.0
-        assert single_port_probability(math.pi) == pytest.approx(0.0, abs=1e-30)
+        assert noon_outcome_probability(1, 0.0) == 1.0
+        assert noon_outcome_probability(1, math.pi) == pytest.approx(0.0, abs=1e-30)
 
     def test_balanced_point_matches_state_algebra(self):
         _, p4 = noon_probs_exact(1, math.pi / 2.0)
-        assert single_port_probability(math.pi / 2.0) == pytest.approx(0.5, abs=1e-15)
-        assert single_port_probability(math.pi / 2.0) == pytest.approx(p4, abs=1e-14)
+        assert noon_outcome_probability(1, math.pi / 2.0) == pytest.approx(0.5, abs=1e-15)
+        assert noon_outcome_probability(1, math.pi / 2.0) == pytest.approx(p4, abs=1e-14)
 
     def test_noon_examples(self):
         assert noon_outcome_probability(5, 0.0) == 1.0
@@ -74,7 +86,7 @@ class TestPortProbabilities:
 
     def test_single_atom_reduces_to_plain_fringe(self):
         for phi in (0.0, 0.3, 1.0, 2.7):
-            assert noon_outcome_probability(1, phi) == single_port_probability(phi)
+            assert noon_outcome_probability(1, phi) == math.cos(phi / 2.0) ** 2
 
     def test_ports_are_complementary(self):
         for n in (1, 2, 5):
@@ -113,9 +125,9 @@ class TestPhaseWindow:
     def test_protocols_validate_before_running(self):
         bath = make_bath(theta=math.pi / 100.0)
         with pytest.raises(PhaseWindowError):
-            run_sn_protocol(bath, 10, "fixed_m", RngStream(1))
+            run_interferometer_trials(bath, 1, 10, 2, "fixed_m", RngStream(1))
         with pytest.raises(PhaseWindowError):
-            run_noon_protocol(make_bath(theta=math.pi / 250.0), 4, 10, "fixed_m", RngStream(1))
+            run_interferometer_trials(make_bath(theta=math.pi / 250.0), 4, 10, 2, "fixed_m", RngStream(1))
 
 
 class TestInversionChain:
@@ -148,61 +160,63 @@ class TestSnProtocol:
         # frozen bath: no excited atoms, so every shot lands in the bright port
         bath = make_bath(beta=50.0)
         assert bath_excitation_draw(bath, "fixed_m", RngStream(1)) == 0
-        assert run_sn_protocol(bath, 20, "fixed_m", RngStream(3), estimator="raw") is None
+        _, betas = run_interferometer_trials(bath, 1, 20, 1, "fixed_m", RngStream(3), estimator="raw")
+        assert math.isnan(betas[0])
 
     def test_spread_matches_delta_method_theory(self):
         bath = make_bath()
-        batch = run_sn_trials(bath, 10**4, 1000, "fixed_m", RngStream(40))
+        batch = beta_batch(bath, 1, 10**4, 1000, "fixed_m", RngStream(40))
         predicted = sigma_beta_sn_theory(bath, 10**4)
         assert batch.sample_std == pytest.approx(predicted, rel=0.15)
 
     def test_mean_recovers_truth(self):
         bath = make_bath()
-        batch = run_sn_trials(bath, 10**4, 1000, "fixed_m", RngStream(41))
+        batch = beta_batch(bath, 1, 10**4, 1000, "fixed_m", RngStream(41))
         assert batch.sample_mean == pytest.approx(LN3, abs=5 * batch.sample_std / math.sqrt(1000))
 
     def test_upper_boundary_invalids_are_recorded(self):
         # raw mode near the half fringe throws counts onto both extrema
         bath = make_bath(beta=0.0, theta=0.9 * math.pi / 100.0)
-        batch = run_sn_trials(bath, 2, 200, "fixed_m", RngStream(42), estimator="raw")
+        batch = beta_batch(bath, 1, 2, 200, "fixed_m", RngStream(42), estimator="raw")
         assert batch.invalid_count > 0
         assert batch.trials == 200
 
     def test_all_invalid_raises(self):
         bath = make_bath(beta=50.0)
-        with pytest.raises(EmptyBatchError):
-            run_sn_trials(bath, 20, 50, "fixed_m", RngStream(43), estimator="raw")
+        plan = SweepPlan("sn", (20, 30, 40, 50), 50, 43, bath=bath, bath_mode="fixed_m", estimator="raw")
+        with pytest.raises(SweepAbortError) as info:
+            collect_sweep_records(plan)
+        assert isinstance(info.value.__cause__, EmptyBatchError)
 
 
 class TestNoonProtocol:
     def test_single_atom_noon_is_bit_identical_to_sn(self):
-        bath = make_bath()
-        stream = RngStream(50, 7)
-        assert run_noon_protocol(bath, 1, 64, "sampled_m", stream) == run_sn_protocol(
-            bath, 64, "sampled_m", stream
-        )
-        a = run_noon_trials(bath, 1, 64, 100, "sampled_m", RngStream(51))
-        b = run_sn_trials(bath, 64, 100, "sampled_m", RngStream(51))
-        assert np.array_equal(a.estimates, b.estimates)
+        # a noon point with one atom and 64 repetitions is an sn point of 64 passes
+        bath = make_bath(theta=max_theta(100, 4))
+        common = dict(trials_per_n=100, master_seed=51, bath=bath, bath_mode="sampled_m")
+        noon = collect_sweep_records(SweepPlan("noon", (1, 2, 3, 4), repetitions=64, **common))
+        sn = collect_sweep_records(SweepPlan("sn", (64, 128, 256, 512), **common))
+        assert noon[0].sigma_beta_empirical == sn[0].sigma_beta_empirical
+        assert noon[0].invalid_fraction == sn[0].invalid_fraction
 
     def test_one_over_n_spread_ratio(self):
         # same bath and shot budget, four times the entangled atoms
         bath = make_bath(theta=max_theta(100, 8))
-        small = run_noon_trials(bath, 2, 200, 2000, "fixed_m", RngStream(52, 0))
-        big = run_noon_trials(bath, 8, 200, 2000, "fixed_m", RngStream(52, 1))
+        small = beta_batch(bath, 2, 200, 2000, "fixed_m", RngStream(52, 0))
+        big = beta_batch(bath, 8, 200, 2000, "fixed_m", RngStream(52, 1))
         assert big.sample_std / small.sample_std == pytest.approx(0.25, rel=0.15)
 
     def test_phase_estimates_align_with_beta_batch(self):
         bath = make_bath(theta=max_theta(100, 4))
         stream = RngStream(53)
-        batch = run_noon_trials(bath, 4, 100, 500, "fixed_m", stream)
-        phases = noon_phase_estimates(bath, 4, 100, 500, "fixed_m", stream)
+        phases, betas = run_interferometer_trials(bath, 4, 100, 500, "fixed_m", stream)
+        assert np.array_equal(noon_phase_estimates(bath, 4, 100, 500, "fixed_m", stream), phases)
         assert len(phases) == 500
-        assert batch.invalid_count == 0
+        assert not np.isnan(betas).any()
         rebuilt = [
             math.log(bath.m_atoms / (phi / bath.theta) - 1.0) / bath.epsilon for phi in phases
         ]
-        assert list(batch.estimates) == rebuilt
+        assert list(betas) == rebuilt
 
     def test_phase_spread_respects_information_floor(self):
         # mid fringe: spread of the phase estimate is 1/(n*sqrt(reps)) and may
@@ -216,26 +230,38 @@ class TestNoonProtocol:
         assert spread <= 1.25 * floor
 
     def test_repetitions_floor(self):
+        plan = SweepPlan("noon", (1, 2, 3, 4), 10, 1, bath=make_bath(theta=max_theta(100, 4)), repetitions=1)
         with pytest.raises(ValueError):
-            run_noon_protocol(make_bath(), 2, 1, "fixed_m", RngStream(1))
+            collect_sweep_records(plan)
+
+    def test_phase_estimates_finite_for_all_invalid_batch(self):
+        # frozen bath, raw counts: every beta is invalid, every phase is still a number
+        bath = make_bath(beta=50.0, theta=max_theta(100, 2))
+        phases = noon_phase_estimates(bath, 2, 20, 50, "fixed_m", RngStream(44), "raw")
+        _, betas = run_interferometer_trials(bath, 2, 20, 50, "fixed_m", RngStream(44), "raw")
+        assert np.isnan(betas).all()
+        assert len(phases) == 50 and np.isfinite(phases).all()
 
 
 class TestOutcomeSampling:
     def test_outcome_fields(self):
-        bath = make_bath()
-        outcome = sample_interferometer_outcome(bath, 2, 50, "fixed_m", RngStream(60))
-        assert outcome.m_realized == 25
-        assert outcome.phi_b == pytest.approx(25 * bath.theta, rel=1e-15)
-        assert 0 <= outcome.counts_port_a <= outcome.shots == 50
+        bath = make_bath(theta=max_theta(100, 2))
+        stream = RngStream(60)
+        m, counts, phase, _ = replay_trial(bath, 2, 50, "fixed_m", stream.substream(0).generator())
+        assert m == 25
+        assert 0 <= counts <= 50
+        phases, _ = run_interferometer_trials(bath, 2, 50, 1, "fixed_m", stream)
+        assert phases[0] == phase
 
     def test_sampled_mode_varies_m(self):
         bath = make_bath(beta=0.0)
-        ms = {
-            sample_interferometer_outcome(bath, 1, 5, "sampled_m", RngStream(61, i)).m_realized
-            for i in range(20)
-        }
+        stream = RngStream(61)
+        trials = [replay_trial(bath, 1, 5, "sampled_m", stream.substream(t).generator()) for t in range(20)]
+        ms = {m for m, _, _, _ in trials}
         assert len(ms) > 1
         assert all(0 <= m <= bath.m_atoms for m in ms)
+        phases, _ = run_interferometer_trials(bath, 1, 5, 20, "sampled_m", stream)
+        assert list(phases) == [phase for _, _, phase, _ in trials]
 
 
 class TestTheoryFormulas:
@@ -327,14 +353,17 @@ class TestDephasingVisibility:
 class TestReproducibility:
     def test_batches_reproduce_bitwise(self):
         bath = make_bath()
-        a = run_sn_trials(bath, 100, 200, "sampled_m", RngStream(80, 2))
-        b = run_sn_trials(bath, 100, 200, "sampled_m", RngStream(80, 2))
-        assert np.array_equal(a.estimates, b.estimates)
+        a = run_interferometer_trials(bath, 1, 100, 200, "sampled_m", RngStream(80, 2))
+        b = run_interferometer_trials(bath, 1, 100, 200, "sampled_m", RngStream(80, 2))
+        assert np.array_equal(a[0], b[0])
+        assert np.array_equal(a[1], b[1], equal_nan=True)
 
     def test_trials_are_schedule_invariant(self):
         bath = make_bath()
         stream = RngStream(81)
-        batch = run_sn_trials(bath, 50, 64, "sampled_m", stream)
+        # trial t is a function of substream t only: replay in shuffled order
+        phases, betas = run_interferometer_trials(bath, 1, 50, 64, "sampled_m", stream)
         order = np.random.default_rng(1).permutation(64)
-        replay = {int(t): run_sn_protocol(bath, 50, "sampled_m", stream.substream(int(t))) for t in order}
-        assert list(batch.estimates) == [replay[t] for t in range(64) if replay[t] is not None]
+        replay = {int(t): replay_trial(bath, 1, 50, "sampled_m", stream.substream(int(t)).generator()) for t in order}
+        assert list(phases) == [replay[t][2] for t in range(64)]
+        assert [None if math.isnan(b) else b for b in betas] == [replay[t][3] for t in range(64)]

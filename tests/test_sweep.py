@@ -1,3 +1,4 @@
+import io
 import math
 
 import pytest
@@ -19,6 +20,7 @@ from thermoscale.sweep import (
     matched_thermometer_size,
     read_jsonl_results,
     run_sweep,
+    write_results,
 )
 from thermoscale.thermal import TwoLevelSpec, excitation_probability, shot_noise_sigma_beta
 
@@ -271,3 +273,14 @@ class TestResultFiles:
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ValueError):
             emit_results([], None, "xml", str(tmp_path / "x"))
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_non_finite_values_are_refused_before_any_byte(self, fmt):
+        good = SweepRecord(2, 0.5, 0.5, 0.0, 10)
+        bad = SweepRecord(4, math.nan, 0.25, 0.0, 10)
+        fit = ScalingFit(-1.0, 0.0, math.inf, 1.0, ((2, 0.5),))
+        for records, fit_arg, field in (([good, bad], None, "sigma_beta_empirical"), ([good], fit, "stderr_slope")):
+            sink = io.StringIO()
+            with pytest.raises(ValueError, match=field):
+                write_results(records, fit_arg, fmt, sink)
+            assert sink.getvalue() == ""
