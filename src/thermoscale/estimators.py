@@ -14,6 +14,7 @@ Trials are independent: trial ``t`` of a batch draws from
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Union
@@ -37,12 +38,6 @@ class EstimatorMode(Enum):
 
 
 ModeLike = Union[EstimatorMode, str]
-
-
-def _as_mode(mode: ModeLike) -> EstimatorMode:
-    if isinstance(mode, EstimatorMode):
-        return mode
-    return EstimatorMode(mode)
 
 
 class EmptyBatchError(RuntimeError):
@@ -73,44 +68,28 @@ class TrialBatch:
         return self.invalid_count + len(self.estimates)
 
 
-def make_batch(estimates: "list[float] | np.ndarray", invalid_count: int) -> TrialBatch:
-    """Assemble a :class:`TrialBatch`, requiring at least two valid estimates."""
-    if len(estimates) < 2:
+def make_batch(betas: "list[float] | np.ndarray") -> TrialBatch:
+    """Assemble a :class:`TrialBatch` from per-trial beta estimates.
+
+    ``betas`` holds one entry per trial, in trial order, with NaN marking an
+    invalid trial. At least two valid estimates are required.
+    """
+    betas = np.asarray(betas, dtype=float)
+    values = betas[~np.isnan(betas)]
+    invalid_count = len(betas) - len(values)
+    if len(values) < 2:
         raise EmptyBatchError(
-            f"only {len(estimates)} valid trial(s) out of "
-            f"{len(estimates) + invalid_count}; cannot form sample statistics",
+            f"only {len(values)} valid trial(s) out of "
+            f"{len(betas)}; cannot form sample statistics",
             invalid_count=invalid_count,
-            trials=len(estimates) + invalid_count,
+            trials=len(betas),
         )
-    values = np.asarray(estimates, dtype=float)
     return TrialBatch(
         estimates=values,
         invalid_count=invalid_count,
         sample_mean=float(values.mean()),
         sample_std=float(values.std(ddof=1)),
     )
-
-
-def sample_excited_count(
-    n_atoms: int,
-    p: float,
-    rng: Union[RngStream, np.random.Generator],
-    size: Optional[int] = None,
-):
-    """Draw the excited count of ``n_atoms`` independent atoms, Binomial(n_atoms, p).
-
-    The draw is exact (numpy's inversion / BTPE sampler), never a normal
-    approximation. ``size=None`` returns a scalar int; an integer ``size``
-    returns an array from the same stream.
-    """
-    if n_atoms < 1:
-        raise ValueError(f"n_atoms must be at least 1, got {n_atoms}")
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must lie strictly in (0, 1), got {p}")
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
-    if size is None:
-        return int(gen.binomial(n_atoms, p))
-    return gen.binomial(n_atoms, p, size=size)
 
 
 def estimate_beta_from_count(
@@ -128,7 +107,8 @@ def estimate_beta_from_count(
     """
     if not 0 <= k <= n_atoms:
         raise ValueError(f"count {k} outside [0, {n_atoms}]")
-    mode = _as_mode(mode)
+    # a member skips the Enum call, which runs per trial and is several times slower
+    mode = mode if isinstance(mode, EstimatorMode) else EstimatorMode(mode)
     if mode is EstimatorMode.RAW:
         if k == 0 or k == n_atoms:
             return None
@@ -153,15 +133,11 @@ def run_thermalizing_trials(
     """
     if trials < 2:
         raise ValueError(f"trials must be at least 2, got {trials}")
-    mode = _as_mode(mode)
+    mode = EstimatorMode(mode)
     p = excitation_probability(spec.epsilon, beta_true)
-    estimates: list[float] = []
-    invalid = 0
+    betas = []
     for gen in rng.generators(trials):
         k = int(gen.binomial(spec.n_atoms, p))
         beta_hat = estimate_beta_from_count(k, spec.n_atoms, spec.epsilon, mode)
-        if beta_hat is None:
-            invalid += 1
-        else:
-            estimates.append(beta_hat)
-    return make_batch(estimates, invalid)
+        betas.append(math.nan if beta_hat is None else beta_hat)
+    return make_batch(betas)

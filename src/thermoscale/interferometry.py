@@ -56,9 +56,9 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .estimators import EstimatorMode, ModeLike, _as_mode
+from .estimators import EstimatorMode, ModeLike
 from .rng import RngStream
-from .thermal import excitation_probability
+from .thermal import DegenerateSensitivityError, excitation_probability
 
 PHASE_WINDOW_MARGIN = 1e-3
 
@@ -76,12 +76,6 @@ class BathMode(Enum):
 
 
 BathModeLike = Union[BathMode, str]
-
-
-def _as_bath_mode(mode: BathModeLike) -> BathMode:
-    if isinstance(mode, BathMode):
-        return mode
-    return BathMode(mode)
 
 
 @dataclass(frozen=True)
@@ -144,7 +138,12 @@ def max_theta(m_atoms: int, n_atoms: int = 1) -> float:
     """Largest coupling phase per excited atom allowed by the phase window."""
     if m_atoms < 1 or n_atoms < 1:
         raise ValueError("m_atoms and n_atoms must be at least 1")
-    return (math.pi - PHASE_WINDOW_MARGIN) / (n_atoms * m_atoms)
+    limit = math.pi - PHASE_WINDOW_MARGIN
+    theta = limit / (n_atoms * m_atoms)
+    # the quotient can round one ulp high; test it in require_phase_window's order
+    if n_atoms * theta * m_atoms > limit:
+        theta = math.nextafter(theta, 0.0)
+    return theta
 
 
 def bath_excitation_draw(
@@ -153,8 +152,9 @@ def bath_excitation_draw(
     rng: Union[RngStream, np.random.Generator],
 ) -> int:
     """Excited bath count for one run: the rounded mean, or a fresh thermal draw."""
-    mode = _as_bath_mode(mode)
     p = bath.excitation
+    # a member skips the Enum call, which runs per trial and is several times slower
+    mode = mode if isinstance(mode, BathMode) else BathMode(mode)
     if mode is BathMode.FIXED_M:
         return round(bath.m_atoms * p)
     gen = rng.generator() if isinstance(rng, RngStream) else rng
@@ -233,8 +233,8 @@ def run_interferometer_trials(
     require_phase_window(bath, n_atoms)
     if shots < 1:
         raise ValueError(f"shots must be at least 1, got {shots}")
-    mode = _as_bath_mode(mode)
-    raw = _as_mode(estimator) is EstimatorMode.RAW
+    mode = BathMode(mode)
+    raw = EstimatorMode(estimator) is EstimatorMode.RAW
     delta = reference_phase(bath, n_atoms)
     offset = delta / n_atoms
     phases = np.empty(trials, dtype=float)
@@ -275,7 +275,10 @@ def sigma_m_sn_theory(theta: float, n_shots: int) -> float:
 def _inverse_mean_slope(bath: BathSpec) -> float:
     """``1 / |d<m>/dbeta|`` for the thermal mean occupation of the bath."""
     p = bath.excitation
-    return 1.0 / (bath.m_atoms * bath.epsilon * p * (1.0 - p))
+    slope = bath.m_atoms * bath.epsilon * p * (1.0 - p)
+    if slope == 0.0:
+        raise DegenerateSensitivityError("d<m>/dbeta of the bath underflowed to zero; no response")
+    return 1.0 / slope
 
 
 def sigma_beta_sn_theory(bath: BathSpec, n_shots: int) -> float:

@@ -19,7 +19,7 @@ from typing import Iterable, Optional, Sequence, TextIO
 
 import numpy as np
 
-from .estimators import EstimatorMode, ModeLike, make_batch, run_thermalizing_trials, EmptyBatchError
+from .estimators import EmptyBatchError, EstimatorMode, ModeLike, make_batch, run_thermalizing_trials
 from .interferometry import (
     BathMode,
     BathModeLike,
@@ -30,7 +30,13 @@ from .interferometry import (
     sigma_beta_sn_theory,
 )
 from .rng import RngStream
-from .thermal import TwoLevelSpec, excitation_probability, shot_noise_sigma_beta, thermal_summary
+from .thermal import (
+    DegenerateSensitivityError,
+    TwoLevelSpec,
+    excitation_probability,
+    shot_noise_sigma_beta,
+    thermal_summary,
+)
 
 PROTOCOLS = ("thermalizing", "sn", "noon")
 MIN_FIT_POINTS = 4
@@ -119,24 +125,30 @@ class SweepPlan:
             require_phase_window(self.bath, max(values) if self.protocol == "noon" else 1)
 
 
-def _point_batch(plan: SweepPlan, n: int, stream: RngStream):
+def _sweep_point(plan: SweepPlan, n: int, stream: RngStream) -> SweepRecord:
+    """One sweep point: the closed-form theory first, so that a configuration
+    without a temperature response fails before any trial runs, then the trials."""
     if plan.protocol == "thermalizing":
         spec = TwoLevelSpec(n_atoms=n, epsilon=plan.epsilon)
-        return run_thermalizing_trials(spec, plan.beta_true, plan.trials_per_n, plan.estimator, stream)
-    n_atoms, shots = (1, n) if plan.protocol == "sn" else (n, plan.repetitions)
-    _, betas = run_interferometer_trials(
-        plan.bath, n_atoms, shots, plan.trials_per_n, plan.bath_mode, stream, plan.estimator
+        theory = shot_noise_sigma_beta(spec, plan.beta_true)
+        batch = run_thermalizing_trials(spec, plan.beta_true, plan.trials_per_n, plan.estimator, stream)
+    else:
+        if plan.protocol == "sn":
+            theory, n_atoms, shots = sigma_beta_sn_theory(plan.bath, n), 1, n
+        else:
+            theory = sigma_beta_h_theory(plan.bath, n) / math.sqrt(plan.repetitions)
+            n_atoms, shots = n, plan.repetitions
+        _, betas = run_interferometer_trials(
+            plan.bath, n_atoms, shots, plan.trials_per_n, plan.bath_mode, stream, plan.estimator
+        )
+        batch = make_batch(betas)
+    return SweepRecord(
+        n=n,
+        sigma_beta_empirical=batch.sample_std,
+        sigma_beta_theory=theory,
+        invalid_fraction=batch.invalid_count / batch.trials,
+        trials=batch.trials,
     )
-    valid = betas[~np.isnan(betas)]
-    return make_batch(valid, len(betas) - len(valid))
-
-
-def _point_theory(plan: SweepPlan, n: int) -> float:
-    if plan.protocol == "thermalizing":
-        return shot_noise_sigma_beta(TwoLevelSpec(n_atoms=n, epsilon=plan.epsilon), plan.beta_true)
-    if plan.protocol == "sn":
-        return sigma_beta_sn_theory(plan.bath, n)
-    return sigma_beta_h_theory(plan.bath, n) / math.sqrt(plan.repetitions)
 
 
 def collect_sweep_records(plan: SweepPlan) -> list[SweepRecord]:
@@ -149,22 +161,12 @@ def collect_sweep_records(plan: SweepPlan) -> list[SweepRecord]:
     plan.validate()
     records = []
     for j, n in enumerate(plan.n_values):
-        stream = RngStream(plan.master_seed, j)
         try:
-            batch = _point_batch(plan, n, stream)
+            records.append(_sweep_point(plan, n, RngStream(plan.master_seed, j)))
         except EmptyBatchError as exc:
             raise SweepAbortError(
                 n, f"sweep point n={n} yielded {exc.invalid_count}/{exc.trials} invalid trials"
             ) from exc
-        records.append(
-            SweepRecord(
-                n=n,
-                sigma_beta_empirical=batch.sample_std,
-                sigma_beta_theory=_point_theory(plan, n),
-                invalid_fraction=batch.invalid_count / batch.trials,
-                trials=batch.trials,
-            )
-        )
     return records
 
 
@@ -249,6 +251,8 @@ def fig1_curves(epsilon: float, beta_grid: Iterable[float]) -> list[tuple[float,
     for beta in betas:
         p = excitation_probability(epsilon, beta)
         summary = thermal_summary(TwoLevelSpec(1, epsilon), beta)
+        if summary.eps_prime == 0.0:
+            raise DegenerateSensitivityError(f"eps_prime underflowed to zero at beta={beta}; no response")
         scaled_sigma = epsilon / math.sqrt(summary.eps_prime)
         rows.append((beta * epsilon, p, scaled_sigma))
     return rows
@@ -257,7 +261,12 @@ def fig1_curves(epsilon: float, beta_grid: Iterable[float]) -> list[tuple[float,
 # ---------------------------------------------------------------------------
 # result files
 
-CSV_HEADER = "n,sigma_beta_empirical,sigma_beta_theory,invalid_fraction,trials"
+_RECORD_FIELDS = tuple(f.name for f in fields(SweepRecord))
+# the fit's scalars; its points are the records themselves
+_FIT_FIELDS = tuple(f.name for f in fields(ScalingFit) if f.name != "points")
+_CSV_FIT_FIELDS = ("slope", "stderr_slope", "r_squared")
+
+CSV_HEADER = ",".join(_RECORD_FIELDS)
 
 
 def format_float(x: float) -> str:
@@ -265,39 +274,22 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _record_csv_row(r: SweepRecord) -> str:
-    return ",".join(
-        [
-            str(r.n),
-            format_float(r.sigma_beta_empirical),
-            format_float(r.sigma_beta_theory),
-            format_float(r.invalid_fraction),
-            str(r.trials),
-        ]
-    )
+def _cells(row, names: Sequence[str], label: str) -> list[tuple[str, str]]:
+    """``(name, text)`` of each named field; refuses NaN and infinities, which
+    neither format can carry."""
+    cells = []
+    for name in names:
+        value = getattr(row, name)
+        if isinstance(value, float):
+            if not math.isfinite(value):
+                raise ValueError(f"{label}: {name} is {value}; result files hold finite numbers only")
+            value = format_float(value)
+        cells.append((name, str(value)))
+    return cells
 
 
-def _record_json_line(r: SweepRecord) -> str:
-    return (
-        "{"
-        f'"n": {r.n}, '
-        f'"sigma_beta_empirical": {format_float(r.sigma_beta_empirical)}, '
-        f'"sigma_beta_theory": {format_float(r.sigma_beta_theory)}, '
-        f'"invalid_fraction": {format_float(r.invalid_fraction)}, '
-        f'"trials": {r.trials}'
-        "}"
-    )
-
-
-def _fit_json_line(fit: ScalingFit) -> str:
-    return (
-        '{"fit": {'
-        f'"slope": {format_float(fit.slope)}, '
-        f'"intercept": {format_float(fit.intercept)}, '
-        f'"stderr_slope": {format_float(fit.stderr_slope)}, '
-        f'"r_squared": {format_float(fit.r_squared)}'
-        "}}"
-    )
+def _json_object(cells: list[tuple[str, str]]) -> str:
+    return "{" + ", ".join(f'"{name}": {text}' for name, text in cells) + "}"
 
 
 def write_results(
@@ -308,33 +300,22 @@ def write_results(
 ) -> None:
     """Write sweep records (and the fit summary, when given) to an open text sink.
 
-    Refuses NaN and infinities, which neither format can carry, before
-    writing anything.
+    Columns and keys are the fields of :class:`SweepRecord`, in order. Refuses
+    NaN and infinities before writing anything.
     """
-    rows = [(f"record n={r.n}", r) for r in records]
-    if fit is not None:
-        rows.append(("fit", fit))
-    for label, row in rows:
-        for field in fields(row):
-            value = getattr(row, field.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{label}: {field.name} is {value}; result files hold finite numbers only")
-    if fmt == "csv":
-        out.write(CSV_HEADER + "\n")
-        for r in records:
-            out.write(_record_csv_row(r) + "\n")
-        if fit is not None:
-            out.write(
-                f"#fit,{format_float(fit.slope)},{format_float(fit.stderr_slope)},"
-                f"{format_float(fit.r_squared)}\n"
-            )
-    elif fmt == "jsonl":
-        for r in records:
-            out.write(_record_json_line(r) + "\n")
-        if fit is not None:
-            out.write(_fit_json_line(fit) + "\n")
-    else:
+    if fmt not in ("csv", "jsonl"):
         raise ValueError(f"format must be 'csv' or 'jsonl', got {fmt!r}")
+    rows = [_cells(r, _RECORD_FIELDS, f"record n={r.n}") for r in records]
+    fit_cells = None if fit is None else _cells(fit, _FIT_FIELDS, "fit")
+    if fmt == "csv":
+        lines = [CSV_HEADER] + [",".join(text for _, text in row) for row in rows]
+        if fit_cells is not None:
+            lines.append(",".join(["#fit"] + [text for name, text in fit_cells if name in _CSV_FIT_FIELDS]))
+    else:
+        lines = [_json_object(row) for row in rows]
+        if fit_cells is not None:
+            lines.append('{"fit": ' + _json_object(fit_cells) + "}")
+    out.write("".join(line + "\n" for line in lines))
 
 
 def emit_results(
@@ -362,22 +343,10 @@ def read_jsonl_results(path: str) -> tuple[list[SweepRecord], Optional[ScalingFi
                 continue
             obj = json.loads(line)
             if "fit" in obj:
-                f = obj["fit"]
                 fit = ScalingFit(
-                    slope=f["slope"],
-                    intercept=f["intercept"],
-                    stderr_slope=f["stderr_slope"],
-                    r_squared=f["r_squared"],
+                    *(obj["fit"][name] for name in _FIT_FIELDS),
                     points=tuple((r.n, r.sigma_beta_empirical) for r in records),
                 )
             else:
-                records.append(
-                    SweepRecord(
-                        n=obj["n"],
-                        sigma_beta_empirical=obj["sigma_beta_empirical"],
-                        sigma_beta_theory=obj["sigma_beta_theory"],
-                        invalid_fraction=obj["invalid_fraction"],
-                        trials=obj["trials"],
-                    )
-                )
+                records.append(SweepRecord(*(obj[name] for name in _RECORD_FIELDS)))
     return records, fit

@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
+import thermoscale
 from thermoscale.cli import main
+from thermoscale.rng import RngStream
 from thermoscale.sweep import CSV_HEADER
 
 
@@ -214,6 +216,42 @@ class TestConfigFile:
         with pytest.raises(SystemExit) as info:
             run_cli("explode")
         assert info.value.code == 2
+
+
+class TestDegenerateSensitivity:
+    """A configuration whose mean energy does not respond to beta is invalid input."""
+
+    def test_sweep_exits_2_before_any_trial(self, tmp_path, monkeypatch, capsys):
+        streams = []
+        generators = RngStream.generators
+
+        def spy(self, count):
+            streams.append(self)
+            return generators(self, count)
+
+        monkeypatch.setattr(RngStream, "generators", spy)
+        out = tmp_path / "x.csv"
+        code = run_cli(
+            "sweep", "--protocol", "noon", "--n-values", "2,4,8,16", "--trials", "20",
+            "--reps", "10", "--bath-m", "100", "--alpha", "0.001", "--tau", "1",
+            "--beta-true", "800", "--seed", "1", "--out", str(out),
+        )
+        assert code == 2
+        assert "invalid configuration" in capsys.readouterr().err
+        assert streams == []
+        assert not out.exists()
+
+    def test_fig1_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "f.csv"
+        code = run_cli("fig1", "--epsilon", "1", "--beta-max", "800", "--points", "2", "--out", str(out))
+        assert code == 2
+        assert "invalid configuration" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_every_public_name_resolves():
+    assert [name for name in thermoscale.__all__ if not hasattr(thermoscale, name)] == []
+    assert len(set(thermoscale.__all__)) == len(thermoscale.__all__)
 
 
 def test_import_does_not_load_scipy():

@@ -8,7 +8,6 @@ from thermoscale.estimators import (
     EstimatorMode,
     estimate_beta_from_count,
     run_thermalizing_trials,
-    sample_excited_count,
 )
 from thermoscale.rng import RngStream
 from thermoscale.thermal import TwoLevelSpec, shot_noise_sigma_beta, thermal_summary
@@ -16,36 +15,6 @@ from thermoscale.thermal import TwoLevelSpec, shot_noise_sigma_beta, thermal_sum
 # frozen guard for the deterministic 1/N part of the jeffreys estimator bias,
 # calibrated once at 2e4 trials over (n, beta) in {16..1600} x {0.5..3}
 BIAS_GUARD_C = 1.0
-
-
-class TestSampleExcitedCount:
-    def test_vanishing_probability_gives_zero(self):
-        stream = RngStream(11)
-        assert all(
-            sample_excited_count(10, 1e-15, stream.substream(i)) == 0 for i in range(100)
-        )
-
-    def test_binomial_moments(self):
-        draws = sample_excited_count(10**5, 0.5, RngStream(12), size=10**4)
-        sigma_single = math.sqrt(10**5 * 0.25)
-        assert abs(draws.mean() - 5e4) < 5 * sigma_single / math.sqrt(10**4)
-        assert abs(draws.var() - 2.5e4) < 0.1 * 2.5e4
-
-    def test_exhaustive_pmf_three_atoms(self):
-        draws = sample_excited_count(3, 0.5, RngStream(14), size=10**6)
-        counts = np.bincount(draws, minlength=4) / draws.size
-        expected = np.array([1.0, 3.0, 3.0, 1.0]) / 8.0
-        assert np.all(np.abs(counts - expected) < 5e-4)
-
-    def test_bounds_and_validation(self):
-        k = sample_excited_count(7, 0.3, RngStream(14))
-        assert 0 <= k <= 7
-        with pytest.raises(ValueError):
-            sample_excited_count(0, 0.5, RngStream(1))
-        with pytest.raises(ValueError):
-            sample_excited_count(5, 0.0, RngStream(1))
-        with pytest.raises(ValueError):
-            sample_excited_count(5, 1.0, RngStream(1))
 
 
 class TestEstimateBetaFromCount:

@@ -36,9 +36,7 @@ def make_bath(m_atoms=100, beta=LN3, theta=math.pi / 200.0, epsilon=1.0):
 
 def beta_batch(*engine_args, **engine_kwargs):
     """Engine trials reduced to a beta batch, as a sweep point reduces them."""
-    _, betas = run_interferometer_trials(*engine_args, **engine_kwargs)
-    valid = betas[~np.isnan(betas)]
-    return make_batch(valid, len(betas) - len(valid))
+    return make_batch(run_interferometer_trials(*engine_args, **engine_kwargs)[1])
 
 
 def replay_trial(bath, n_atoms, shots, mode, gen, estimator="jeffreys"):
@@ -120,10 +118,18 @@ class TestPhaseWindow:
             require_phase_window(bath, 4)
 
     def test_max_theta_is_tight(self):
-        theta = max_theta(100, 4)
-        require_phase_window(make_bath(theta=theta), 4)
-        with pytest.raises(PhaseWindowError):
-            require_phase_window(make_bath(theta=theta * 1.01), 4)
+        # the quotient (pi - 1e-3) / (n * m) rounds one ulp high for some pairs,
+        # e.g. (1, 17), (3, 7), (100, 7) and (10**4, 5)
+        limit = math.pi - 1e-3
+        for m_atoms in [*range(1, 201), 500, 10**3, 10**4, 10**5]:
+            for n_atoms in range(1, 65):
+                theta = max_theta(m_atoms, n_atoms)
+                require_phase_window(make_bath(m_atoms=m_atoms, theta=theta), n_atoms)
+                with pytest.raises(PhaseWindowError):
+                    require_phase_window(make_bath(m_atoms=m_atoms, theta=theta * 1.01), n_atoms)
+                quotient = limit / (n_atoms * m_atoms)
+                # an admissible quotient is returned unchanged
+                assert theta == quotient or n_atoms * quotient * m_atoms > limit
 
     def test_protocols_validate_before_running(self):
         bath = make_bath(theta=math.pi / 100.0)

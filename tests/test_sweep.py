@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 
@@ -222,6 +223,50 @@ class TestFig1Curves:
             fig1_curves(1.0, [])
 
 
+# Small plans of each kind whose result bytes are pinned: a refactor of the
+# engines or of the emitters must leave every byte of every file unchanged.
+GOLDEN_PLANS = {
+    "thermalizing": SweepPlan("thermalizing", (16, 32, 64, 128), 200, 1001, beta_true=1.0),
+    "thermalizing-raw": SweepPlan("thermalizing", (4, 6, 8, 12), 200, 1002, beta_true=2.5, estimator="raw"),
+    "noon-fixed": SweepPlan(
+        "noon", (1, 2, 4, 8), 200, 1003,
+        bath=BathSpec(100, 1.0, 1.0, max_theta(100, 8), 1.0), bath_mode="fixed_m", repetitions=50,
+    ),
+    "sn-sampled": SweepPlan(
+        "sn", (10, 100, 1000, 10000), 200, 1004,
+        bath=BathSpec(100, 1.0, 1.0, math.pi / 200.0, 1.0), bath_mode="sampled_m",
+    ),
+}
+
+# sha256 of the written file per (format, with fit)
+GOLDEN_SHA256 = {
+    "thermalizing": {
+        ("csv", True): "ebe7e4b1f624eef79c0b3610b940845455a4a69b4ee870dc4ccd0fa71d5f8706",
+        ("csv", False): "2150dc93943df15e704c575d0561046a9b9c56c3d7239d463a7e50615cadbb7b",
+        ("jsonl", True): "2137c444071b4c278d781b4f2bbe910d1b43776008120cde848928c2e44db3bd",
+        ("jsonl", False): "6d6bd2c0a4ff04648b12232a1150e47e31d54f30bffc8bbe55e9429af4306fc5",
+    },
+    "thermalizing-raw": {
+        ("csv", True): "4e483f81f0f06728415bd1466766ab6ed5ee0888844bdc8416e8d486bc658827",
+        ("csv", False): "7fa12be8d5e09af733b6e272c5ced6d391807a8cd90fc71cb288b207a1d247fb",
+        ("jsonl", True): "398c424efc2adbf22dc269a6ad4a8b146db6beab8968987cf85c029e4b925ec5",
+        ("jsonl", False): "3de972e366952ef0074af33c9811349b03a9950a1241157db754ec4eaf5d2c12",
+    },
+    "noon-fixed": {
+        ("csv", True): "e52cca6eef97dcedc06e623df4c084d56fa3dbe49e029ed6a1966a58e0361657",
+        ("csv", False): "f2eb4b162f752ccd69028862031dc2d03e9e7442295a8559c2d9e5d276ec899f",
+        ("jsonl", True): "6ba3b5a64d58e88376616b66dc56ad53a90cd95c40e3715c00d705370226970e",
+        ("jsonl", False): "e82b8eff2aaf47a84a0de4f4d13a152a701bd8d45bd1ff1aa833ef930096d548",
+    },
+    "sn-sampled": {
+        ("csv", True): "af8c09165404c14ec09595038fafaaa4640f3e2ec2614fa32545a5b14de9f28f",
+        ("csv", False): "ddc31afc29d85dcef6351ffb2450d1fa632e37bec84353186ec6bb37e0a03d3b",
+        ("jsonl", True): "f83825f63b8546ce10b9d8c79b934f6a9395d181095c1d587ad25b223567eb6f",
+        ("jsonl", False): "7530c092dbd394740f25b553d2319e49a0a7aa00b493ff2e050023073f20b93f",
+    },
+}
+
+
 class TestResultFiles:
     def test_csv_bytes_are_deterministic(self, tmp_path):
         records = collect_sweep_records(THERM_PLAN)
@@ -284,3 +329,14 @@ class TestResultFiles:
             with pytest.raises(ValueError, match=field):
                 write_results(records, fit_arg, fmt, sink)
             assert sink.getvalue() == ""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_PLANS))
+    def test_golden_bytes(self, name):
+        records = collect_sweep_records(GOLDEN_PLANS[name])
+        if name == "thermalizing-raw":
+            assert all(r.invalid_fraction > 0 for r in records)
+        fit = fit_from_records(records)
+        for (fmt, with_fit), expected in GOLDEN_SHA256[name].items():
+            sink = io.StringIO()
+            write_results(records, fit if with_fit else None, fmt, sink)
+            assert hashlib.sha256(sink.getvalue().encode()).hexdigest() == expected, (fmt, with_fit)
