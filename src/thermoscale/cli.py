@@ -208,6 +208,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _within(name: str, what: str, error: float, tol: float) -> tuple[str, bool, str]:
+    return name, error <= tol, f"{what} {error:.3g}, tol {tol:g}"
+
+
 def _verify_checks() -> list[tuple[str, bool, str]]:
     checks: list[tuple[str, bool, str]] = []
 
@@ -222,7 +226,7 @@ def _verify_checks() -> list[tuple[str, bool, str]]:
                 abs(mean - summary.mean_energy) / summary.mean_energy,
                 abs(var - summary.energy_variance) / summary.energy_variance,
             )
-    checks.append(("thermal enumeration vs closed forms", worst <= 1e-12, f"max rel err {worst:.3g}"))
+    checks.append(_within("thermal enumeration vs closed forms", "max rel err", worst, 1e-12))
 
     worst = 0.0
     for n in range(1, 9):
@@ -235,7 +239,7 @@ def _verify_checks() -> list[tuple[str, bool, str]]:
                 abs(p4 - noon_outcome_probability(n, phi)),
                 abs(p3 - (1.0 - noon_outcome_probability(n, phi))),
             )
-    checks.append(("interferometer state algebra vs fringe formulas", worst <= 1e-10, f"max err {worst:.3g}"))
+    checks.append(_within("interferometer state algebra vs fringe formulas", "max err", worst, 1e-10))
 
     exact = all(
         oracle.branch_phase(n, m, theta) == (n * m) * theta
@@ -243,7 +247,7 @@ def _verify_checks() -> list[tuple[str, bool, str]]:
         for m in range(0, 9)
         for theta in (0.1, 0.7, 2.9)
     )
-    checks.append(("pairwise interaction phase vs product formula", exact, "exact equality"))
+    checks.append(("pairwise interaction phase vs product formula", exact, "exact equality, tol 0"))
 
     worst = 0.0
     for m_atoms in range(1, 17):
@@ -252,7 +256,7 @@ def _verify_checks() -> list[tuple[str, bool, str]]:
                 direct = oracle.mixed_bath_visibility_exact(m_atoms, p, phase)
                 closed = abs((1.0 - p) + p * complex(math.cos(phase), math.sin(phase))) ** m_atoms
                 worst = max(worst, abs(direct - closed))
-    checks.append(("mixing visibility phasor sum vs closed form", worst <= 1e-14, f"max err {worst:.3g}"))
+    checks.append(_within("mixing visibility phasor sum vs closed form", "max err", worst, 1e-14))
 
     return checks
 

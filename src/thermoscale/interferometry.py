@@ -228,7 +228,8 @@ def run_interferometer_trials(
     per-trial phase estimates of ``theta * m``, with ``delta`` subtracted
     again (always finite, and negative where the count lies beyond the
     reference point), and beta estimates, NaN where the inferred count leaves
-    ``(0, m_atoms)``.
+    ``(0, m_atoms)``. A fixed bath draws nothing for ``m``, so its port
+    probability is computed once for the whole batch.
     """
     require_phase_window(bath, n_atoms)
     if shots < 1:
@@ -237,11 +238,16 @@ def run_interferometer_trials(
     raw = EstimatorMode(estimator) is EstimatorMode.RAW
     delta = reference_phase(bath, n_atoms)
     offset = delta / n_atoms
+    theta = bath.theta
+    fixed = mode is BathMode.FIXED_M
+    if fixed:
+        port = noon_outcome_probability(n_atoms, theta * bath_excitation_draw(bath, mode, rng) + offset)
     phases = np.empty(trials, dtype=float)
     betas = np.empty(trials, dtype=float)
     for t, gen in enumerate(rng.generators(trials)):
-        m = bath_excitation_draw(bath, mode, gen)
-        counts = int(gen.binomial(shots, noon_outcome_probability(n_atoms, bath.theta * m + offset)))
+        if not fixed:
+            port = noon_outcome_probability(n_atoms, theta * bath_excitation_draw(bath, mode, gen) + offset)
+        counts = int(gen.binomial(shots, port))
         p_hat = counts / shots if raw else (counts + 0.5) / (shots + 1.0)
         phases[t] = _phase_from_port_fraction(p_hat, n_atoms, delta)
         beta_hat = beta_from_port_fraction(p_hat, n_atoms, bath)

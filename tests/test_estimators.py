@@ -112,18 +112,21 @@ class TestReproducibility:
 
     def test_trials_are_schedule_invariant(self):
         # reconstruct each trial independently, in scrambled order, from its
-        # own substream; the batch must match element for element
-        spec = TwoLevelSpec(40, 1.0)
-        stream = RngStream(32, 9)
-        batch = run_thermalizing_trials(spec, 1.2, 64, "jeffreys", stream)
-        p = 1.0 / (1.0 + math.exp(1.2))
-        order = np.random.default_rng(0).permutation(64)
-        replayed = {}
-        for t in order:
-            gen = stream.substream(int(t)).generator()
-            k = int(gen.binomial(40, p))
-            replayed[int(t)] = estimate_beta_from_count(k, 40, 1.0, "jeffreys")
-        assert list(batch.estimates) == [replayed[t] for t in range(64)]
+        # own substream; the batch must match element for element. N = 40 hits
+        # numpy's inversion sampler; N = 4096 at beta = 1 (n*p ~ 1100, as in
+        # the A4 sweep) hits BTPE, whose number of draws varies per trial
+        for n_atoms, beta in ((40, 1.2), (4096, 1.0)):
+            spec = TwoLevelSpec(n_atoms, 1.0)
+            stream = RngStream(32, 9)
+            batch = run_thermalizing_trials(spec, beta, 64, "jeffreys", stream)
+            p = 1.0 / (1.0 + math.exp(beta))
+            order = np.random.default_rng(0).permutation(64)
+            replayed = {}
+            for t in order:
+                gen = stream.substream(int(t)).generator()
+                k = int(gen.binomial(n_atoms, p))
+                replayed[int(t)] = estimate_beta_from_count(k, n_atoms, 1.0, "jeffreys")
+            assert list(batch.estimates) == [replayed[t] for t in range(64)], n_atoms
 
     def test_different_stream_different_batch(self):
         spec = TwoLevelSpec(50, 1.0)

@@ -398,11 +398,13 @@ class TestReproducibility:
         assert np.array_equal(a[1], b[1], equal_nan=True)
 
     def test_trials_are_schedule_invariant(self):
-        bath = make_bath()
         stream = RngStream(81)
-        # trial t is a function of substream t only: replay in shuffled order
-        phases, betas = run_interferometer_trials(bath, 1, 50, 64, "sampled_m", stream)
-        order = np.random.default_rng(1).permutation(64)
-        replay = {int(t): replay_trial(bath, 1, 50, "sampled_m", stream.substream(int(t)).generator()) for t in order}
-        assert list(phases) == [replay[t][2] for t in range(64)]
-        assert [None if math.isnan(b) else b for b in betas] == [replay[t][3] for t in range(64)]
+        # trial t is a function of substream t only: replay in shuffled order,
+        # for a resampled bath and for a fixed one (port probability computed once)
+        cases = ((make_bath(), 1, 50, "sampled_m"), (make_bath(theta=max_theta(100, 4)), 4, 200, "fixed_m"))
+        for bath, n_atoms, shots, mode in cases:
+            phases, betas = run_interferometer_trials(bath, n_atoms, shots, 64, mode, stream)
+            order = np.random.default_rng(1).permutation(64)
+            replay = {int(t): replay_trial(bath, n_atoms, shots, mode, stream.substream(int(t)).generator()) for t in order}
+            assert list(phases) == [replay[t][2] for t in range(64)], mode
+            assert [None if math.isnan(b) else b for b in betas] == [replay[t][3] for t in range(64)], mode

@@ -39,6 +39,28 @@ def test_generators_match_fresh_construction():
     assert fast == slow
 
 
+# consumers that leave the shared Philox mid-block or with a buffered 32-bit half
+# word, so a stale buffer carried into the next trial changes its draws
+POSITIONING_CONSUMERS = {
+    "binomial": lambda gen: [int(gen.binomial(50, 0.3))],
+    "partial block": lambda gen: gen.random(5).tolist(),
+    "buffered half word": lambda gen: [int(gen.integers(0, 2**32, dtype=np.uint32)), gen.random()],
+}
+
+
+@pytest.mark.parametrize("consumer", POSITIONING_CONSUMERS.values(), ids=list(POSITIONING_CONSUMERS))
+@pytest.mark.parametrize(
+    "stream",
+    # top-bit keys, and a base index whose substreams set counter words 2 and 3
+    [RngStream(2**64 - 1, 3), RngStream(2**63 + 5), RngStream(7, 2**96 - 1)],
+    ids=["seed-2^64-1", "seed-2^63+5", "index-2^96-1"],
+)
+def test_generators_reposition_exactly(stream, consumer):
+    fast = [consumer(gen) for gen in stream.generators(40)]
+    slow = [consumer(stream.substream(i).generator()) for i in range(40)]
+    assert fast == slow
+
+
 def test_draws_do_not_depend_on_consumption_order():
     stream = RngStream(31337)
     ordered = [stream.substream(i).generator().random() for i in range(50)]
