@@ -13,7 +13,9 @@ statistics:
   ``N * phi_b`` and the phase spread falls as ``1/N``.
 
 One engine, :func:`run_interferometer_trials`, runs both: the single-atom
-protocol is the entangled one with one atom and one shot per probe.
+protocol is the entangled one with one atom and one shot per probe. Its
+per-trial loop only positions the stream and draws; the phase and beta
+estimates are computed once per distinct port count and gathered by index.
 
 Both close the interferometer with the same splitter convention, modelled on
 the two-dimensional subspace of "all atoms in arm 3" / "all atoms in arm 4"
@@ -190,6 +192,14 @@ def _phase_from_port_fraction(p_hat: float, n_atoms: int, delta: float) -> float
     return (2.0 * math.acos(math.sqrt(p_hat)) - delta) / n_atoms
 
 
+def _beta_from_phase(phi_b_hat: float, bath: BathSpec) -> float:
+    """Beta from a phase estimate of ``theta * m``, NaN when the inferred count leaves ``(0, m_atoms)``."""
+    m_hat = phi_b_hat / bath.theta
+    if m_hat <= 0.0 or m_hat >= bath.m_atoms:
+        return math.nan
+    return math.log(bath.m_atoms / m_hat - 1.0) / bath.epsilon
+
+
 def beta_from_port_fraction(p_hat: float, n_atoms: int, bath: BathSpec) -> Optional[float]:
     """Invert an observed port fraction to a beta estimate, or ``None`` when invalid.
 
@@ -204,10 +214,8 @@ def beta_from_port_fraction(p_hat: float, n_atoms: int, bath: BathSpec) -> Optio
     if not 0.0 <= p_hat <= 1.0:
         raise ValueError(f"p_hat must lie in [0, 1], got {p_hat}")
     phi_b_hat = _phase_from_port_fraction(p_hat, n_atoms, reference_phase(bath, n_atoms))
-    m_hat = phi_b_hat / bath.theta
-    if m_hat <= 0.0 or m_hat >= bath.m_atoms:
-        return None
-    return math.log(bath.m_atoms / m_hat - 1.0) / bath.epsilon
+    beta_hat = _beta_from_phase(phi_b_hat, bath)
+    return None if math.isnan(beta_hat) else beta_hat
 
 
 def run_interferometer_trials(
@@ -228,8 +236,10 @@ def run_interferometer_trials(
     per-trial phase estimates of ``theta * m``, with ``delta`` subtracted
     again (always finite, and negative where the count lies beyond the
     reference point), and beta estimates, NaN where the inferred count leaves
-    ``(0, m_atoms)``. A fixed bath draws nothing for ``m``, so its port
-    probability is computed once for the whole batch.
+    ``(0, m_atoms)``. The trial loop only positions the stream and draws (a
+    fixed bath draws nothing for ``m``, so its port probability is computed
+    once for the whole batch); both estimates are then computed once per
+    distinct port count, as the inversion depends on the count alone.
     """
     require_phase_window(bath, n_atoms)
     if shots < 1:
@@ -242,17 +252,18 @@ def run_interferometer_trials(
     fixed = mode is BathMode.FIXED_M
     if fixed:
         port = noon_outcome_probability(n_atoms, theta * bath_excitation_draw(bath, mode, rng) + offset)
-    phases = np.empty(trials, dtype=float)
-    betas = np.empty(trials, dtype=float)
+    counts = np.empty(trials, dtype=np.int64)
     for t, gen in enumerate(rng.generators(trials)):
         if not fixed:
             port = noon_outcome_probability(n_atoms, theta * bath_excitation_draw(bath, mode, gen) + offset)
-        counts = int(gen.binomial(shots, port))
-        p_hat = counts / shots if raw else (counts + 0.5) / (shots + 1.0)
-        phases[t] = _phase_from_port_fraction(p_hat, n_atoms, delta)
-        beta_hat = beta_from_port_fraction(p_hat, n_atoms, bath)
-        betas[t] = math.nan if beta_hat is None else beta_hat
-    return phases, betas
+        counts[t] = gen.binomial(shots, port)
+    distinct = sorted(set(counts.tolist()))
+    phases, betas = np.empty((2, len(distinct)), dtype=float)
+    for i, k in enumerate(distinct):
+        phi = _phase_from_port_fraction(k / shots if raw else (k + 0.5) / (shots + 1.0), n_atoms, delta)
+        phases[i], betas[i] = phi, _beta_from_phase(phi, bath)
+    index = np.searchsorted(distinct, counts)
+    return phases[index], betas[index]
 
 
 def noon_phase_estimates(

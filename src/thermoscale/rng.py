@@ -59,13 +59,17 @@ class RngStream:
         of a list-valued state dict, which also discards any buffered output,
         and assigns it, far cheaper than building a Philox per trial. The
         yielded generator is repositioned on the next iteration, so each one
-        must be fully consumed before the loop advances.
+        must be fully consumed before the loop advances. The arguments are
+        checked at the call, before any generator is yielded.
         """
         if count < 0:
             raise ValueError("count must be nonnegative")
         base = self.stream_index * _SUBSTREAM_STRIDE
         if base + count > _MAX_INDEX:
             raise ValueError("substream range exceeds the 128-bit index space")
+        return self._positioned(base, count)
+
+    def _positioned(self, base: int, count: int) -> Iterator[np.random.Generator]:
         bitgen = np.random.Philox(key=self.master_seed)
         gen = np.random.Generator(bitgen)
         # the setter reads these field by field; Python ints read faster than numpy scalars

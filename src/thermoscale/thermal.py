@@ -122,19 +122,6 @@ def shot_noise_sigma_beta(spec: TwoLevelSpec, beta: float) -> float:
     return 1.0 / math.sqrt(spec.n_atoms * summary.eps_prime)
 
 
-def propagate_uncertainty(sigma_eps: float, eps_prime: float) -> float:
-    """Map a spread in per-atom energy onto a spread in beta: ``sigma_eps / eps_prime``."""
-    if eps_prime == 0.0:
-        raise DegenerateSensitivityError(
-            "eps_prime is zero; the thermometer has no temperature response"
-        )
-    if eps_prime < 0:
-        raise ValueError(f"eps_prime must be nonnegative, got {eps_prime}")
-    if sigma_eps < 0:
-        raise ValueError(f"sigma_eps must be nonnegative, got {sigma_eps}")
-    return sigma_eps / eps_prime
-
-
 def invert_mean_fraction(p_hat: float, epsilon: float) -> float:
     """Invert an observed excited fraction to a beta estimate.
 

@@ -400,11 +400,23 @@ class TestReproducibility:
     def test_trials_are_schedule_invariant(self):
         stream = RngStream(81)
         # trial t is a function of substream t only: replay in shuffled order,
-        # for a resampled bath and for a fixed one (port probability computed once)
-        cases = ((make_bath(), 1, 50, "sampled_m"), (make_bath(theta=max_theta(100, 4)), 4, 200, "fixed_m"))
-        for bath, n_atoms, shots, mode in cases:
-            phases, betas = run_interferometer_trials(bath, n_atoms, shots, 64, mode, stream)
+        # for a resampled bath, for a fixed one (port probability computed once),
+        # and for a fixed one read raw at few shots, where counts repeat and
+        # some trials are invalid (estimates computed once per distinct count)
+        cases = (
+            (make_bath(), 1, 50, "sampled_m", "jeffreys"),
+            (make_bath(theta=max_theta(100, 4)), 4, 200, "fixed_m", "jeffreys"),
+            (make_bath(), 1, 4, "fixed_m", "raw"),
+        )
+        for bath, n_atoms, shots, mode, estimator in cases:
+            phases, betas = run_interferometer_trials(bath, n_atoms, shots, 64, mode, stream, estimator)
             order = np.random.default_rng(1).permutation(64)
-            replay = {int(t): replay_trial(bath, n_atoms, shots, mode, stream.substream(int(t)).generator()) for t in order}
-            assert list(phases) == [replay[t][2] for t in range(64)], mode
-            assert [None if math.isnan(b) else b for b in betas] == [replay[t][3] for t in range(64)], mode
+            replay = {
+                int(t): replay_trial(bath, n_atoms, shots, mode, stream.substream(int(t)).generator(), estimator)
+                for t in order
+            }
+            assert list(phases) == [replay[t][2] for t in range(64)], (mode, estimator)
+            expected = [replay[t][3] for t in range(64)]
+            assert [None if math.isnan(b) else b for b in betas] == expected, (mode, estimator)
+            if estimator == "raw":
+                assert None in expected and len({replay[t][1] for t in range(64)}) < 64

@@ -89,3 +89,15 @@ def test_validation():
         RngStream(0).substream(2**32)
     with pytest.raises(ValueError):
         RngStream(0).substream(-1)
+
+
+@pytest.mark.parametrize(
+    "stream, count",
+    # a negative count, and a range running past the last 128-bit index
+    [(RngStream(0), -1), (RngStream(0, 2**96 - 1), 2**32 + 1)],
+    ids=["negative count", "beyond 2^128"],
+)
+def test_generators_validate_at_the_call(stream, count):
+    # the error comes from the call itself, before any next()
+    with pytest.raises(ValueError):
+        stream.generators(count)

@@ -236,6 +236,10 @@ GOLDEN_PLANS = {
         "sn", (10, 100, 1000, 10000), 200, 1004,
         bath=BathSpec(100, 1.0, 1.0, math.pi / 200.0, 1.0), bath_mode="sampled_m",
     ),
+    "sn-fixed-raw": SweepPlan(
+        "sn", (4, 8, 16, 32), 200, 1005,
+        bath=BathSpec(100, 1.0, 1.0, math.pi / 200.0, 1.0), bath_mode="fixed_m", estimator="raw",
+    ),
 }
 
 # sha256 of the written file per (format, with fit)
@@ -263,6 +267,12 @@ GOLDEN_SHA256 = {
         ("csv", False): "ddc31afc29d85dcef6351ffb2450d1fa632e37bec84353186ec6bb37e0a03d3b",
         ("jsonl", True): "f83825f63b8546ce10b9d8c79b934f6a9395d181095c1d587ad25b223567eb6f",
         ("jsonl", False): "7530c092dbd394740f25b553d2319e49a0a7aa00b493ff2e050023073f20b93f",
+    },
+    "sn-fixed-raw": {
+        ("csv", True): "aea9669a027b9e8d7932782c60465d725c4f47f5e271770aa83cf3b9ed28cb58",
+        ("csv", False): "17c37dd3ad93e8bf3afb7f60a85601869e280563cdd54f6c8d680ac7e4b482d5",
+        ("jsonl", True): "3931894604e71e417b630905d33a2453c1976807efee325dcf717d96fd6a6be2",
+        ("jsonl", False): "02184d33d5f98994124327cd83a55074de5f01250485880d3abef764625c114c",
     },
 }
 
@@ -333,7 +343,7 @@ class TestResultFiles:
     @pytest.mark.parametrize("name", sorted(GOLDEN_PLANS))
     def test_golden_bytes(self, name):
         records = collect_sweep_records(GOLDEN_PLANS[name])
-        if name == "thermalizing-raw":
+        if name in ("thermalizing-raw", "sn-fixed-raw"):
             assert all(r.invalid_fraction > 0 for r in records)
         fit = fit_from_records(records)
         for (fmt, with_fit), expected in GOLDEN_SHA256[name].items():

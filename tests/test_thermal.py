@@ -11,7 +11,6 @@ from thermoscale.thermal import (
     doppler_precision,
     excitation_probability,
     invert_mean_fraction,
-    propagate_uncertainty,
     shot_noise_sigma_beta,
     thermal_summary,
 )
@@ -153,27 +152,14 @@ class TestShotNoiseSigmaBeta:
             values = [shot_noise_sigma_beta(spec, x / eps) for x in grid]
             assert all(b > a for a, b in zip(values, values[1:]))
 
-
-class TestPropagateUncertainty:
-    def test_identity_ratio(self):
-        assert propagate_uncertainty(0.25, 0.25) == 1.0
-
-    def test_linearity(self):
-        assert propagate_uncertainty(0.5, 0.25) == 2.0
-
     def test_chains_to_shot_noise_form(self):
-        # sigma_eps = sqrt(eps_prime / N) reproduces 1 / sqrt(N * eps_prime)
+        # a per-atom energy spread sigma_eps = sqrt(eps_prime / N), carried onto
+        # beta as sigma_eps / eps_prime, reproduces 1 / sqrt(N * eps_prime)
         spec = TwoLevelSpec(4, 1.0)
         s = thermal_summary(spec, 0.0)
         sigma_eps = math.sqrt(s.eps_prime / spec.n_atoms)
-        assert propagate_uncertainty(sigma_eps, s.eps_prime) == pytest.approx(1.0, rel=1e-14)
-        assert propagate_uncertainty(sigma_eps, s.eps_prime) == pytest.approx(
-            shot_noise_sigma_beta(spec, 0.0), rel=1e-14
-        )
-
-    def test_degenerate_sensitivity(self):
-        with pytest.raises(DegenerateSensitivityError):
-            propagate_uncertainty(0.3, 0.0)
+        assert sigma_eps / s.eps_prime == pytest.approx(1.0, rel=1e-14)
+        assert sigma_eps / s.eps_prime == pytest.approx(shot_noise_sigma_beta(spec, 0.0), rel=1e-14)
 
 
 class TestInvertMeanFraction:
