@@ -32,7 +32,6 @@ from .interferometry import (
     sigma_m_sn_theory,
 )
 from .oracle import (
-    ConfigurationBasis,
     SizeGuardError,
     branch_phase,
     enumerate_thermal,
@@ -73,7 +72,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BathMode",
     "BathSpec",
-    "ConfigurationBasis",
     "DegenerateSensitivityError",
     "EmptyBatchError",
     "EstimatorMode",

@@ -17,12 +17,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Union
 
 from .rng import RngStream
 from .thermal import TwoLevelSpec, excitation_probability, invert_mean_fraction
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class EstimatorMode(Enum):
@@ -74,6 +75,8 @@ def make_batch(betas: "list[float] | np.ndarray") -> TrialBatch:
     ``betas`` holds one entry per trial, in trial order, with NaN marking an
     invalid trial. At least two valid estimates are required.
     """
+    import numpy as np
+
     betas = np.asarray(betas, dtype=float)
     values = betas[~np.isnan(betas)]
     invalid_count = len(betas) - len(values)

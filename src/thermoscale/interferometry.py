@@ -54,13 +54,14 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Union
 
 from .estimators import EstimatorMode, ModeLike
 from .rng import RngStream
 from .thermal import DegenerateSensitivityError, excitation_probability
+
+if TYPE_CHECKING:
+    import numpy as np
 
 PHASE_WINDOW_MARGIN = 1e-3
 
@@ -241,6 +242,8 @@ def run_interferometer_trials(
     once for the whole batch); both estimates are then computed once per
     distinct port count, as the inversion depends on the count alone.
     """
+    import numpy as np
+
     require_phase_window(bath, n_atoms)
     if shots < 1:
         raise ValueError(f"shots must be at least 1, got {shots}")
@@ -344,6 +347,8 @@ def measure_fringe_visibility(
     amplitude off the first Fourier coefficient, which is exact on an even
     grid of three or more points.
     """
+    import numpy as np
+
     if phase_points < 3:
         raise ValueError(f"phase_points must be at least 3, got {phase_points}")
     shots_per_point = shots // phase_points

@@ -4,17 +4,16 @@ Nothing here knows the closed forms it is checking. Thermal statistics are
 literal sums over all 2**N configurations, interaction phases come from
 counting excited pairs in an explicit configuration, interferometer
 probabilities come from multiplying out small complex state vectors, and the
-mixing visibility is a direct probability-weighted phasor sum. Size guards
-fail loudly; an oracle must never silently degrade into an approximation.
+mixing visibility is a direct probability-weighted phasor sum. All of it is
+plain Python arithmetic on floats and complex numbers; nothing here imports
+numpy. Size guards fail loudly; an oracle must never silently degrade into
+an approximation.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-
-import numpy as np
 
 MAX_ENUM_ATOMS = 16
 MAX_NOON_ATOMS = 8
@@ -23,31 +22,6 @@ MAX_COMBINED_ATOMS = 24
 
 class SizeGuardError(ValueError):
     """A brute-force call exceeded the exact-enumeration size guard."""
-
-
-@dataclass(frozen=True)
-class ConfigurationBasis:
-    """Joint configuration space of a thermometer and a bath of two-level atoms.
-
-    States are labelled by bitstrings, one bit per atom, bit set meaning the
-    atom is excited. Guards keep exhaustive work within 2**16 per subsystem
-    and 24 atoms per combined call.
-    """
-
-    n_thermometer: int
-    m_bath: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.n_thermometer <= MAX_ENUM_ATOMS:
-            raise SizeGuardError(
-                f"n_thermometer={self.n_thermometer} outside [0, {MAX_ENUM_ATOMS}]"
-            )
-        if not 0 <= self.m_bath <= MAX_ENUM_ATOMS:
-            raise SizeGuardError(f"m_bath={self.m_bath} outside [0, {MAX_ENUM_ATOMS}]")
-        if self.n_thermometer + self.m_bath > MAX_COMBINED_ATOMS:
-            raise SizeGuardError(
-                f"combined size {self.n_thermometer + self.m_bath} exceeds {MAX_COMBINED_ATOMS}"
-            )
 
 
 def enumerate_thermal(n_atoms: int, epsilon: float, beta: float) -> tuple[float, float, float]:
@@ -83,12 +57,21 @@ def enumerate_thermal(n_atoms: int, epsilon: float, beta: float) -> tuple[float,
 def branch_phase(n_thermometer: int, m_excited_bath: int, theta: float) -> float:
     """Phase accumulated by an all-excited thermometer passing an excited bath.
 
-    Builds the configuration explicitly (every thermometer atom excited,
-    ``m_excited_bath`` bath atoms excited) and counts excited pairs under the
-    pairwise diagonal coupling, instead of using the product formula. The
-    result is ``theta`` per excited pair, i.e. ``n * m * theta``.
+    Builds the configuration explicitly (one occupation per atom: every
+    thermometer atom excited, ``m_excited_bath`` bath atoms excited) and
+    counts excited pairs under the pairwise diagonal coupling, instead of
+    using the product formula. The result is ``theta`` per excited pair, i.e.
+    ``n * m * theta``. Guards keep each subsystem within 16 atoms and the
+    pair within 24.
     """
-    ConfigurationBasis(n_thermometer, m_excited_bath)  # size guards
+    if not 0 <= n_thermometer <= MAX_ENUM_ATOMS:
+        raise SizeGuardError(f"n_thermometer={n_thermometer} outside [0, {MAX_ENUM_ATOMS}]")
+    if not 0 <= m_excited_bath <= MAX_ENUM_ATOMS:
+        raise SizeGuardError(f"m_excited_bath={m_excited_bath} outside [0, {MAX_ENUM_ATOMS}]")
+    if n_thermometer + m_excited_bath > MAX_COMBINED_ATOMS:
+        raise SizeGuardError(
+            f"combined size {n_thermometer + m_excited_bath} exceeds {MAX_COMBINED_ATOMS}"
+        )
     thermometer = [1] * n_thermometer
     bath = [1] * m_excited_bath
     excited_pairs = 0
@@ -104,17 +87,22 @@ def noon_probs_exact(n_atoms: int, phi_b: float) -> tuple[float, float]:
     Works on the two-dimensional subspace spanned by "all N atoms in arm 3"
     and "all N atoms in arm 4". The state vector is built explicitly: the
     opening splitter, a phase of ``n_atoms * phi_b`` on the bath arm, and the
-    closing splitter are successive 2x2 complex matrix products. Returns the
-    squared magnitudes ``(p_port3, p_port4)``.
+    closing splitter are successive 2x2 complex matrix-vector products. Returns
+    the squared magnitudes ``(p_port3, p_port4)``.
     """
     if not 1 <= n_atoms <= MAX_NOON_ATOMS:
         raise SizeGuardError(f"n_atoms={n_atoms} outside [1, {MAX_NOON_ATOMS}]")
-    splitter = np.array([[1.0, 1.0j], [1.0j, 1.0]], dtype=complex) / math.sqrt(2.0)
-    state = np.array([1.0 + 0.0j, 0.0 + 0.0j])  # all atoms entering by one port
-    state = splitter @ state
-    state = np.array([state[0], state[1] * cmath.exp(1j * n_atoms * phi_b)])
-    state = splitter @ state
-    return float(abs(state[0]) ** 2), float(abs(state[1]) ** 2)
+    scale = 1.0 / math.sqrt(2.0)
+    splitter = ((scale, 1j * scale), (1j * scale, scale))
+
+    def split(state: tuple[complex, complex]) -> tuple[complex, complex]:
+        return tuple(row[0] * state[0] + row[1] * state[1] for row in splitter)
+
+    state = (1.0 + 0.0j, 0.0 + 0.0j)  # all atoms entering by one port
+    state = split(state)
+    state = (state[0], state[1] * cmath.exp(1j * n_atoms * phi_b))
+    state = split(state)
+    return abs(state[0]) ** 2, abs(state[1]) ** 2
 
 
 def mixed_bath_visibility_exact(m_atoms: int, p: float, n_phase: float) -> float:

@@ -7,14 +7,18 @@ distinct indices select disjoint counter blocks and therefore produce
 statistically independent draws whose values do not depend on the order in
 which streams are consumed. Campaigns derive one substream per trial, which
 makes batch results invariant under any execution schedule.
+
+numpy is imported by the two methods that build a generator, not by the
+module, so the closed forms and oracles run without it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 _MAX_SEED = 2**64
 _MAX_INDEX = 2**128
@@ -48,6 +52,8 @@ class RngStream:
 
     def generator(self) -> np.random.Generator:
         """A fresh Generator positioned at the start of this stream's counter block."""
+        import numpy as np
+
         bitgen = np.random.Philox(key=self.master_seed, counter=self.stream_index << 128)
         return np.random.Generator(bitgen)
 
@@ -70,6 +76,8 @@ class RngStream:
         return self._positioned(base, count)
 
     def _positioned(self, base: int, count: int) -> Iterator[np.random.Generator]:
+        import numpy as np
+
         bitgen = np.random.Philox(key=self.master_seed)
         gen = np.random.Generator(bitgen)
         # the setter reads these field by field; Python ints read faster than numpy scalars

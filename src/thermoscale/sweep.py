@@ -12,12 +12,11 @@ byte-identical files.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 from dataclasses import dataclass, fields
 from typing import Iterable, Optional, Sequence, TextIO
-
-import numpy as np
 
 from .estimators import EmptyBatchError, EstimatorMode, ModeLike, make_batch, run_thermalizing_trials
 from .interferometry import (
@@ -172,6 +171,8 @@ def collect_sweep_records(plan: SweepPlan) -> list[SweepRecord]:
 
 def fit_power_law(points: Sequence[tuple[int, float]]) -> ScalingFit:
     """OLS fit of ``log(sigma)`` on ``log(n)``; refuses fewer than 4 points."""
+    import numpy as np
+
     if len(points) < MIN_FIT_POINTS:
         raise ValueError(f"need at least {MIN_FIT_POINTS} points to fit, got {len(points)}")
     if any(n <= 0 or s <= 0 for n, s in points):
@@ -324,10 +325,16 @@ def emit_results(
     fmt: str,
     destination: str,
 ) -> None:
-    """Write results to ``destination``; identical inputs yield identical bytes."""
+    """Write results to ``destination``; identical inputs yield identical bytes.
+
+    The output is rendered before the file is opened, so a refused write
+    (a non-finite value, an unknown format) leaves ``destination`` untouched.
+    """
+    text = io.StringIO()
+    write_results(records, fit, fmt, text)
     try:
         with open(destination, "w", newline="") as handle:
-            write_results(records, fit, fmt, handle)
+            handle.write(text.getvalue())
     except OSError as exc:
         raise OSError(f"cannot write results to {destination!r}: {exc}") from exc
 

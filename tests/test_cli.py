@@ -254,11 +254,57 @@ def test_every_public_name_resolves():
     assert len(set(thermoscale.__all__)) == len(thermoscale.__all__)
 
 
-def test_import_does_not_load_scipy():
-    # a fresh interpreter, so modules imported by other tests cannot mask a regression
+def _fresh_python(code, *argv, cwd=None):
+    """Run ``code`` in a fresh interpreter with ``src`` on the path, so modules
+    imported by other tests cannot mask a regression."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    probe = "import sys, thermoscale, thermoscale.cli; print('scipy' in sys.modules)"
-    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv], env=env, cwd=cwd, capture_output=True, text=True, timeout=60
+    )
+
+
+def test_import_does_not_load_scipy():
+    probe = "import sys, thermoscale, thermoscale.cli; print('scipy' in sys.modules, 'numpy' in sys.modules)"
+    result = _fresh_python(probe)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False"
+    assert result.stdout.strip() == "False False"
+
+
+# the real entry point, ``python -m thermoscale``, with numpy importable or not
+ENTRY_POINT = (
+    "import runpy, sys\n"
+    "if sys.argv[1] == 'block': sys.modules['numpy'] = None\n"
+    "sys.argv = ['thermoscale'] + sys.argv[2:]\n"
+    "runpy.run_module('thermoscale', run_name='__main__')\n"
+)
+
+NUMPY_FREE_COMMANDS = {
+    "stats": ["stats", "--epsilon", "1.3", "--beta", "0.7", "--n", "12"],
+    "verify": ["verify"],
+    "dephasing": ["dephasing", "--bath-m", "12", "--theta", "0.05", "--n", "3", "--beta-true", "1.0"],
+    "fig1": ["fig1", "--epsilon", "1.0", "--beta-max", "10", "--points", "21", "--out", "fig1.csv"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(NUMPY_FREE_COMMANDS))
+def test_command_runs_without_numpy(command, tmp_path):
+    outputs = []
+    for mode in ("normal", "block"):
+        (tmp_path / mode).mkdir()
+        result = _fresh_python(ENTRY_POINT, mode, *NUMPY_FREE_COMMANDS[command], cwd=tmp_path / mode)
+        assert result.returncode == 0, (mode, result.stderr)
+        written = sorted((p.name, p.read_bytes()) for p in (tmp_path / mode).iterdir())
+        outputs.append((result.stdout, written))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] or outputs[0][1]
+
+
+def test_sweep_fails_without_numpy(tmp_path):
+    # shows the block above is seen: a command that runs trials needs numpy
+    argv = ["sweep", "--protocol", "thermalizing", "--n-values", "16,32,64,128", "--trials", "20",
+            "--beta-true", "1.0", "--seed", "7", "--out", "x.csv"]
+    result = _fresh_python(ENTRY_POINT, "block", *argv, cwd=tmp_path)
+    assert result.returncode != 0
+    assert "numpy" in result.stderr
+    assert not (tmp_path / "x.csv").exists()

@@ -5,7 +5,6 @@ import pytest
 
 from thermoscale.interferometry import noon_outcome_probability
 from thermoscale.oracle import (
-    ConfigurationBasis,
     SizeGuardError,
     branch_phase,
     enumerate_thermal,
@@ -71,6 +70,15 @@ class TestBranchPhase:
             branch_phase(16, 16, 0.1)  # combined size over the limit
         assert branch_phase(12, 12, 0.1) == 144 * 0.1
 
+    def test_configuration_guards(self):
+        assert branch_phase(16, 8, 0.1) == 128 * 0.1
+        with pytest.raises(SizeGuardError):
+            branch_phase(17, 0, 0.1)
+        with pytest.raises(SizeGuardError):
+            branch_phase(0, 17, 0.1)
+        with pytest.raises(SizeGuardError):
+            branch_phase(13, 12, 0.1)
+
 
 class TestNoonProbsExact:
     def test_zero_phase(self):
@@ -129,13 +137,3 @@ class TestMixedBathVisibilityExact:
         with pytest.raises(SizeGuardError):
             mixed_bath_visibility_exact(17, 0.5, 0.1)
 
-
-class TestConfigurationBasis:
-    def test_guards(self):
-        ConfigurationBasis(16, 8)
-        with pytest.raises(SizeGuardError):
-            ConfigurationBasis(17, 0)
-        with pytest.raises(SizeGuardError):
-            ConfigurationBasis(0, 17)
-        with pytest.raises(SizeGuardError):
-            ConfigurationBasis(13, 12)

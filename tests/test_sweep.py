@@ -340,6 +340,17 @@ class TestResultFiles:
                 write_results(records, fit_arg, fmt, sink)
             assert sink.getvalue() == ""
 
+    def test_refused_write_leaves_existing_file_untouched(self, tmp_path):
+        path = tmp_path / "results.csv"
+        path.write_bytes(b"old results\n")
+        bad = SweepRecord(4, math.nan, 0.25, 0.0, 10)
+        with pytest.raises(ValueError, match="sigma_beta_empirical"):
+            emit_results([bad], None, "csv", str(path))
+        assert path.read_bytes() == b"old results\n"
+        with pytest.raises(ValueError, match="format"):
+            emit_results([], None, "xml", str(path))
+        assert path.read_bytes() == b"old results\n"
+
     @pytest.mark.parametrize("name", sorted(GOLDEN_PLANS))
     def test_golden_bytes(self, name):
         records = collect_sweep_records(GOLDEN_PLANS[name])
