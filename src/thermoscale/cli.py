@@ -6,8 +6,9 @@ oracle equivalence suite) and ``dephasing`` (fringe visibility under bath
 resampling). Every flag may also be supplied through a plain ``key = value``
 config file via ``--config``; explicit flags override the file.
 
-Exit codes: 0 success, 1 verification failure, 2 invalid configuration,
-3 all trials invalid, 4 I/O failure.
+Exit codes: 0 success, 1 verification failure, 2 invalid configuration
+(including a missing numpy, which only ``sweep`` needs), 3 all trials
+invalid, 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -305,6 +306,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         merged = _merge_config(argv)
         args = parser.parse_args(merged)
         return _COMMANDS[args.command](args)
+    except ModuleNotFoundError as exc:
+        # only the trial engines import numpy: without it a sweep cannot start,
+        # which is a setup error (2), not a failed verification (1)
+        if exc.name != "numpy":
+            raise
+        print(f"missing dependency: this command needs numpy ({exc})", file=sys.stderr)
+        return EXIT_BAD_CONFIG
     except ValueError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG

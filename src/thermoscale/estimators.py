@@ -14,7 +14,6 @@ Trials are independent: trial ``t`` of a batch draws from
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Optional, Union
@@ -39,6 +38,9 @@ class EstimatorMode(Enum):
 
 
 ModeLike = Union[EstimatorMode, str]
+
+# read per trial: ``EstimatorMode.RAW`` takes about ten times as long as a global
+_RAW, _JEFFREYS = EstimatorMode.RAW, EstimatorMode.JEFFREYS
 
 
 class EmptyBatchError(RuntimeError):
@@ -72,8 +74,8 @@ class TrialBatch:
 def make_batch(betas: "list[float] | np.ndarray") -> TrialBatch:
     """Assemble a :class:`TrialBatch` from per-trial beta estimates.
 
-    ``betas`` holds one entry per trial, in trial order, with NaN marking an
-    invalid trial. At least two valid estimates are required.
+    ``betas`` holds one entry per trial, in trial order, with ``None`` or NaN
+    marking an invalid trial. At least two valid estimates are required.
     """
     import numpy as np
 
@@ -110,9 +112,9 @@ def estimate_beta_from_count(
     """
     if not 0 <= k <= n_atoms:
         raise ValueError(f"count {k} outside [0, {n_atoms}]")
-    # a member skips the Enum call, which runs per trial and is several times slower
-    mode = mode if isinstance(mode, EstimatorMode) else EstimatorMode(mode)
-    if mode is EstimatorMode.RAW:
+    # a member skips the Enum call, which runs per trial and is several times
+    # slower; any other value goes through it, so an unknown mode still raises
+    if mode is not _JEFFREYS and (mode is _RAW or EstimatorMode(mode) is _RAW):
         if k == 0 or k == n_atoms:
             return None
         p_hat = k / n_atoms
@@ -133,14 +135,23 @@ def run_thermalizing_trials(
     Trial ``t`` draws its excited count from ``rng.substream(t)``; invalid
     trials (possible in RAW mode) are counted, not thrown. Raises
     :class:`EmptyBatchError` if fewer than two trials survive.
+
+    Each trial still makes one :func:`estimate_beta_from_count` call, and so
+    one ``invert_mean_fraction`` call, although at most ``n_atoms + 1``
+    distinct counts occur: ``perfbench/selftest.py`` requires one stream step,
+    one estimator call and one inversion per thermalizing trial, and the
+    array engine of ROADMAP.md open item 2 replaces this loop once the
+    benchmark counts trials instead of calls.
     """
     if trials < 2:
         raise ValueError(f"trials must be at least 2, got {trials}")
     mode = EstimatorMode(mode)
-    p = excitation_probability(spec.epsilon, beta_true)
-    betas = []
-    for gen in rng.generators(trials):
-        k = int(gen.binomial(spec.n_atoms, p))
-        beta_hat = estimate_beta_from_count(k, spec.n_atoms, spec.epsilon, mode)
-        betas.append(math.nan if beta_hat is None else beta_hat)
-    return make_batch(betas)
+    n_atoms, epsilon = spec.n_atoms, spec.epsilon
+    p = excitation_probability(epsilon, beta_true)
+    # a scalar binomial draw is already a Python int, and make_batch reads None as NaN
+    return make_batch(
+        [
+            estimate_beta_from_count(gen.binomial(n_atoms, p), n_atoms, epsilon, mode)
+            for gen in rng.generators(trials)
+        ]
+    )

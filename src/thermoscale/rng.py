@@ -66,10 +66,11 @@ class RngStream:
         and assigns it, far cheaper than building a Philox per trial. The
         yielded generator is repositioned on the next iteration, so each one
         must be fully consumed before the loop advances. The arguments are
-        checked at the call, before any generator is yielded.
+        checked at the call, before any generator is yielded; ``count`` may not
+        exceed 2**32, or the range would run into the next stream's substreams.
         """
-        if count < 0:
-            raise ValueError("count must be nonnegative")
+        if not 0 <= count <= _SUBSTREAM_STRIDE:
+            raise ValueError(f"count must lie in [0, 2**32], got {count}")
         base = self.stream_index * _SUBSTREAM_STRIDE
         if base + count > _MAX_INDEX:
             raise ValueError("substream range exceeds the 128-bit index space")

@@ -28,7 +28,7 @@ from .interferometry import (
     sigma_beta_h_theory,
     sigma_beta_sn_theory,
 )
-from .rng import RngStream
+from .rng import _SUBSTREAM_STRIDE, RngStream
 from .thermal import (
     DegenerateSensitivityError,
     TwoLevelSpec,
@@ -108,8 +108,9 @@ class SweepPlan:
             raise SweepConfigError(f"n_values must be strictly increasing, got {values}")
         if values[0] < 1:
             raise SweepConfigError("n_values must be positive")
-        if self.trials_per_n < 2:
-            raise SweepConfigError(f"trials_per_n must be at least 2, got {self.trials_per_n}")
+        # one substream per trial, and a stream has 2**32 of them
+        if not 2 <= self.trials_per_n <= _SUBSTREAM_STRIDE:
+            raise SweepConfigError(f"trials_per_n must lie in [2, 2**32], got {self.trials_per_n}")
         if self.protocol == "thermalizing":
             if self.beta_true is None or self.beta_true < 0:
                 raise SweepConfigError("thermalizing sweep needs a nonnegative beta_true")

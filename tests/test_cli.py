@@ -300,11 +300,33 @@ def test_command_runs_without_numpy(command, tmp_path):
     assert outputs[0][0] or outputs[0][1]
 
 
+SWEEP_ARGV = ["sweep", "--protocol", "thermalizing", "--n-values", "16,32,64,128", "--trials", "20",
+              "--beta-true", "1.0", "--seed", "7"]
+
+
 def test_sweep_fails_without_numpy(tmp_path):
     # shows the block above is seen: a command that runs trials needs numpy
-    argv = ["sweep", "--protocol", "thermalizing", "--n-values", "16,32,64,128", "--trials", "20",
-            "--beta-true", "1.0", "--seed", "7", "--out", "x.csv"]
-    result = _fresh_python(ENTRY_POINT, "block", *argv, cwd=tmp_path)
-    assert result.returncode != 0
+    result = _fresh_python(ENTRY_POINT, "block", *SWEEP_ARGV, "--out", "x.csv", cwd=tmp_path)
+    assert result.returncode == 2
     assert "numpy" in result.stderr
     assert not (tmp_path / "x.csv").exists()
+
+
+class TestMissingNumpy:
+    """A sweep without numpy is a setup error (exit 2), not a failed verification."""
+
+    def test_sweep_exits_2_and_names_numpy(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setitem(sys.modules, "numpy", None)
+        out = tmp_path / "x.csv"
+        assert run_cli(*SWEEP_ARGV, "--out", str(out)) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "numpy" in err[0]
+        assert not out.exists()
+
+    def test_other_missing_module_is_reraised(self, tmp_path, monkeypatch):
+        def missing(plan):
+            raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
+
+        monkeypatch.setattr(thermoscale.cli, "collect_sweep_records", missing)
+        with pytest.raises(ModuleNotFoundError):
+            run_cli(*SWEEP_ARGV, "--out", str(tmp_path / "x.csv"))

@@ -7,6 +7,7 @@ from thermoscale.estimators import (
     EmptyBatchError,
     EstimatorMode,
     estimate_beta_from_count,
+    make_batch,
     run_thermalizing_trials,
 )
 from thermoscale.rng import RngStream
@@ -43,6 +44,14 @@ class TestEstimateBetaFromCount:
         with pytest.raises(ValueError):
             estimate_beta_from_count(-1, 10, 1.0)
 
+    @pytest.mark.parametrize("mode", ["bogus", "JEFFREYS"])
+    def test_unknown_mode_raises(self, mode):
+        # mode values are lower case; nothing may fall back to Jeffreys
+        with pytest.raises(ValueError):
+            estimate_beta_from_count(5, 10, 1.0, mode)
+        with pytest.raises(ValueError):
+            run_thermalizing_trials(TwoLevelSpec(10, 1.0), 1.0, 20, mode, RngStream(1))
+
 
 class TestRunThermalizingTrials:
     def test_spread_matches_shot_noise_prediction(self):
@@ -69,6 +78,12 @@ class TestRunThermalizingTrials:
         assert batch.invalid_count + len(batch.estimates) == 500
         assert batch.invalid_count > 0  # n=5 hits degenerate counts regularly
         assert batch.sample_std == pytest.approx(float(np.std(batch.estimates, ddof=1)), rel=1e-15)
+
+    def test_batch_reads_none_as_nan(self):
+        with_none = make_batch([1.0, None, 2.5, None, 4.0])
+        with_nan = make_batch([1.0, math.nan, 2.5, math.nan, 4.0])
+        assert with_none.invalid_count == with_nan.invalid_count == 2
+        assert list(with_none.estimates) == list(with_nan.estimates) == [1.0, 2.5, 4.0]
 
     def test_requires_two_trials(self):
         with pytest.raises(ValueError):
@@ -114,19 +129,22 @@ class TestReproducibility:
         # reconstruct each trial independently, in scrambled order, from its
         # own substream; the batch must match element for element. N = 40 hits
         # numpy's inversion sampler; N = 4096 at beta = 1 (n*p ~ 1100, as in
-        # the A4 sweep) hits BTPE, whose number of draws varies per trial
-        for n_atoms, beta in ((40, 1.2), (4096, 1.0)):
+        # the A4 sweep) hits BTPE, whose number of draws varies per trial; raw
+        # N = 5 makes invalid trials, which must drop out at their own places
+        for n_atoms, beta, mode in ((40, 1.2, "jeffreys"), (4096, 1.0, "jeffreys"), (5, 0.5, "raw")):
             spec = TwoLevelSpec(n_atoms, 1.0)
             stream = RngStream(32, 9)
-            batch = run_thermalizing_trials(spec, beta, 64, "jeffreys", stream)
+            batch = run_thermalizing_trials(spec, beta, 64, mode, stream)
             p = 1.0 / (1.0 + math.exp(beta))
             order = np.random.default_rng(0).permutation(64)
             replayed = {}
             for t in order:
                 gen = stream.substream(int(t)).generator()
                 k = int(gen.binomial(n_atoms, p))
-                replayed[int(t)] = estimate_beta_from_count(k, n_atoms, 1.0, "jeffreys")
-            assert list(batch.estimates) == [replayed[t] for t in range(64)], n_atoms
+                replayed[int(t)] = estimate_beta_from_count(k, n_atoms, 1.0, mode)
+            expected = [replayed[t] for t in range(64)]
+            assert batch.invalid_count == expected.count(None), n_atoms
+            assert list(batch.estimates) == [b for b in expected if b is not None], n_atoms
 
     def test_different_stream_different_batch(self):
         spec = TwoLevelSpec(50, 1.0)

@@ -93,9 +93,15 @@ def test_validation():
 
 @pytest.mark.parametrize(
     "stream, count",
-    # a negative count, and a range running past the last 128-bit index
-    [(RngStream(0), -1), (RngStream(0, 2**96 - 1), 2**32 + 1)],
-    ids=["negative count", "beyond 2^128"],
+    # a negative count, ranges running past the last 128-bit index, and a count
+    # whose position 2^32 would be substream 0 of the next stream
+    [
+        (RngStream(0), -1),
+        (RngStream(0, 2**96 - 1), 2**32 + 1),
+        (RngStream(0, 2**96), 1),
+        (RngStream(9, 0), 2**32 + 1),
+    ],
+    ids=["negative count", "beyond 2^128", "one past 2^128", "into the next stream"],
 )
 def test_generators_validate_at_the_call(stream, count):
     # the error comes from the call itself, before any next()

@@ -71,6 +71,12 @@ class TestPlanValidation:
         with pytest.raises(SweepConfigError):
             SweepPlan("sn", (16, 32, 64, 128), 10, 0).validate()
 
+    def test_trials_fit_in_one_stream(self):
+        # trial t draws substream t of its point's stream, which has 2^32 of them
+        SweepPlan("thermalizing", (16, 32, 64, 128), 2**32, 0, beta_true=1.0).validate()
+        with pytest.raises(SweepConfigError):
+            SweepPlan("thermalizing", (16, 32, 64, 128), 2**32 + 1, 0, beta_true=1.0).validate()
+
     def test_phase_window_checked_at_largest_size(self):
         bath = BathSpec(100, 1.0, 1.0, max_theta(100, 8), 1.0)
         SweepPlan("noon", (2, 4, 8), 10, 0, bath=bath, repetitions=8)  # no validate yet
