@@ -8,16 +8,13 @@ power-law scaling fits.
 
 from .estimators import (
     EmptyBatchError,
-    EstimatorMode,
     TrialBatch,
     estimate_beta_from_count,
     run_thermalizing_trials,
 )
 from .interferometry import (
-    BathMode,
     BathSpec,
     PhaseWindowError,
-    bath_excitation_draw,
     beta_from_port_fraction,
     dephasing_visibility,
     max_theta,
@@ -70,11 +67,9 @@ from .thermal import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BathMode",
     "BathSpec",
     "DegenerateSensitivityError",
     "EmptyBatchError",
-    "EstimatorMode",
     "PhaseWindowError",
     "RngStream",
     "ScalingFit",
@@ -87,7 +82,6 @@ __all__ = [
     "TrialBatch",
     "TwoLevelSpec",
     "UnboundedEstimateError",
-    "bath_excitation_draw",
     "bath_intrinsic_sigma",
     "beta_from_port_fraction",
     "branch_phase",

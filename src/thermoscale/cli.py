@@ -19,7 +19,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import oracle
-from .interferometry import BathMode, BathSpec, dephasing_visibility, noon_outcome_probability
+from .interferometry import BathSpec, dephasing_visibility, noon_outcome_probability
 from .sweep import (
     SweepAbortError,
     SweepConfigError,
@@ -181,7 +181,6 @@ def _plan_from_args(args: argparse.Namespace) -> SweepPlan:
             alpha=args.alpha,
             tau=args.tau,
         )
-    bath_mode = BathMode.FIXED_M if args.bath_mode == "fixed" else BathMode.SAMPLED_M
     return SweepPlan(
         protocol=args.protocol,
         n_values=n_values,
@@ -191,7 +190,7 @@ def _plan_from_args(args: argparse.Namespace) -> SweepPlan:
         beta_true=args.beta_true,
         estimator=args.estimator,
         bath=bath,
-        bath_mode=bath_mode,
+        bath_mode="fixed_m" if args.bath_mode == "fixed" else "sampled_m",
         repetitions=args.reps,
     )
 

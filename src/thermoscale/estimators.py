@@ -15,8 +15,7 @@ Trials are independent: trial ``t`` of a batch draws from
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, Optional
 
 from .rng import RngStream
 from .thermal import TwoLevelSpec, excitation_probability, invert_mean_fraction
@@ -24,23 +23,13 @@ from .thermal import TwoLevelSpec, excitation_probability, invert_mean_fraction
 if TYPE_CHECKING:
     import numpy as np
 
-
-class EstimatorMode(Enum):
-    """Policy for turning an excited count into a fraction.
-
-    RAW uses ``k / n`` and declares counts of 0 or n invalid (their beta
-    estimate is unbounded). JEFFREYS uses ``(k + 1/2) / (n + 1)``, which keeps
-    every trial finite at the cost of a small-sample bias of order ``1/n``.
-    """
-
-    RAW = "raw"
-    JEFFREYS = "jeffreys"
+ESTIMATORS = ("raw", "jeffreys")
 
 
-ModeLike = Union[EstimatorMode, str]
-
-# read per trial: ``EstimatorMode.RAW`` takes about ten times as long as a global
-_RAW, _JEFFREYS = EstimatorMode.RAW, EstimatorMode.JEFFREYS
+def check_mode(name: str, value: str, allowed: tuple[str, ...], error: type = ValueError) -> None:
+    """Refuse a mode that is not one of the strings ``allowed``, spelled exactly."""
+    if value not in allowed:
+        raise error(f"{name} must be one of {allowed}, got {value!r}")
 
 
 class EmptyBatchError(RuntimeError):
@@ -101,25 +90,29 @@ def estimate_beta_from_count(
     k: int,
     n_atoms: int,
     epsilon: float,
-    mode: ModeLike = EstimatorMode.JEFFREYS,
+    mode: str = "jeffreys",
 ) -> Optional[float]:
     """Invert an excited count into a beta estimate, or ``None`` when invalid.
 
-    RAW mode is the plug-in inversion of ``k / n_atoms`` and returns ``None``
-    for the degenerate counts 0 and n_atoms. JEFFREYS mode shrinks the
-    fraction to ``(k + 1/2) / (n_atoms + 1)`` and always yields a finite
-    estimate.
+    ``mode`` is the policy for turning the count into a fraction, and nothing
+    but these two strings is accepted:
+
+    * ``"jeffreys"`` shrinks the fraction to ``(k + 1/2) / (n_atoms + 1)``,
+      which keeps every estimate finite at the cost of a small-sample bias of
+      order ``1/n_atoms``;
+    * ``"raw"`` is the plug-in inversion of ``k / n_atoms`` and returns
+      ``None`` for the degenerate counts 0 and n_atoms, whose estimate is
+      unbounded.
     """
     if not 0 <= k <= n_atoms:
         raise ValueError(f"count {k} outside [0, {n_atoms}]")
-    # a member skips the Enum call, which runs per trial and is several times
-    # slower; any other value goes through it, so an unknown mode still raises
-    if mode is not _JEFFREYS and (mode is _RAW or EstimatorMode(mode) is _RAW):
+    if mode == "jeffreys":
+        p_hat = (k + 0.5) / (n_atoms + 1.0)
+    else:
+        check_mode("estimator", mode, ESTIMATORS)
         if k == 0 or k == n_atoms:
             return None
         p_hat = k / n_atoms
-    else:
-        p_hat = (k + 0.5) / (n_atoms + 1.0)
     return invert_mean_fraction(p_hat, epsilon)
 
 
@@ -127,14 +120,16 @@ def run_thermalizing_trials(
     spec: TwoLevelSpec,
     beta_true: float,
     trials: int,
-    mode: ModeLike,
+    mode: str,
     rng: RngStream,
 ) -> TrialBatch:
     """Simulate ``trials`` thermalize-isolate-measure rounds and estimate beta in each.
 
-    Trial ``t`` draws its excited count from ``rng.substream(t)``; invalid
-    trials (possible in RAW mode) are counted, not thrown. Raises
-    :class:`EmptyBatchError` if fewer than two trials survive.
+    Trial ``t`` draws its excited count from ``rng.substream(t)`` and inverts
+    it with the estimator ``mode``, ``"raw"`` or ``"jeffreys"`` (see
+    :func:`estimate_beta_from_count`); invalid trials (possible in raw mode)
+    are counted, not thrown. Raises :class:`EmptyBatchError` if fewer than two
+    trials survive.
 
     Each trial still makes one :func:`estimate_beta_from_count` call, and so
     one ``invert_mean_fraction`` call, although at most ``n_atoms + 1``
@@ -145,7 +140,7 @@ def run_thermalizing_trials(
     """
     if trials < 2:
         raise ValueError(f"trials must be at least 2, got {trials}")
-    mode = EstimatorMode(mode)
+    check_mode("estimator", mode, ESTIMATORS)
     n_atoms, epsilon = spec.n_atoms, spec.epsilon
     p = excitation_probability(epsilon, beta_true)
     # a scalar binomial draw is already a Python int, and make_batch reads None as NaN

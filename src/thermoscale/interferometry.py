@@ -53,10 +53,9 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from enum import Enum
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, Optional
 
-from .estimators import EstimatorMode, ModeLike
+from .estimators import ESTIMATORS, check_mode
 from .rng import RngStream
 from .thermal import DegenerateSensitivityError, excitation_probability
 
@@ -64,21 +63,11 @@ if TYPE_CHECKING:
     import numpy as np
 
 PHASE_WINDOW_MARGIN = 1e-3
+BATH_MODES = ("fixed_m", "sampled_m")
 
 
 class PhaseWindowError(ValueError):
     """The configured phases leave the invertible branch of the fringe."""
-
-
-class BathMode(Enum):
-    """FIXED_M holds the excited bath count at its rounded mean (isolated bath);
-    SAMPLED_M redraws it from the thermal distribution each trial."""
-
-    FIXED_M = "fixed_m"
-    SAMPLED_M = "sampled_m"
-
-
-BathModeLike = Union[BathMode, str]
 
 
 @dataclass(frozen=True)
@@ -149,21 +138,6 @@ def max_theta(m_atoms: int, n_atoms: int = 1) -> float:
     return theta
 
 
-def bath_excitation_draw(
-    bath: BathSpec,
-    mode: BathModeLike,
-    rng: Union[RngStream, np.random.Generator],
-) -> int:
-    """Excited bath count for one run: the rounded mean, or a fresh thermal draw."""
-    p = bath.excitation
-    # a member skips the Enum call, which runs per trial and is several times slower
-    mode = mode if isinstance(mode, BathMode) else BathMode(mode)
-    if mode is BathMode.FIXED_M:
-        return round(bath.m_atoms * p)
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
-    return int(gen.binomial(bath.m_atoms, p))
-
-
 def noon_outcome_probability(n_atoms: int, phi_b: float) -> float:
     """Probability ``cos^2(n_atoms * phi_b / 2)`` of the all-atoms-at-port outcome.
 
@@ -224,43 +198,53 @@ def run_interferometer_trials(
     n_atoms: int,
     shots: int,
     trials: int,
-    mode: BathModeLike,
+    mode: str,
     rng: RngStream,
-    estimator: ModeLike = EstimatorMode.JEFFREYS,
+    estimator: str = "jeffreys",
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run ``trials`` trials of either protocol, ``shots`` shots of ``n_atoms`` atoms each.
 
-    Trial ``t`` draws from ``rng.substream(t)``: the bath count ``m`` once,
+    Trial ``t`` draws from ``rng.substream(t)``: the excited bath count ``m``,
     held fixed over its shots, then the port count, with probability
     ``noon_outcome_probability(n_atoms, theta * m + delta / n_atoms)`` at the
-    reference phase ``delta`` of :func:`reference_phase`. Returns the
-    per-trial phase estimates of ``theta * m``, with ``delta`` subtracted
-    again (always finite, and negative where the count lies beyond the
-    reference point), and beta estimates, NaN where the inferred count leaves
-    ``(0, m_atoms)``. The trial loop only positions the stream and draws (a
-    fixed bath draws nothing for ``m``, so its port probability is computed
-    once for the whole batch); both estimates are then computed once per
-    distinct port count, as the inversion depends on the count alone.
+    reference phase ``delta`` of :func:`reference_phase`. The bath ``mode``
+    says where ``m`` comes from, and nothing but these two strings is accepted:
+
+    * ``"fixed_m"`` holds it at the rounded mean ``round(m_atoms * p)`` of an
+      isolated bath, for every trial, and draws nothing for it (so the port
+      probability is computed once for the whole batch);
+    * ``"sampled_m"`` redraws it each trial from the thermal binomial
+      ``(m_atoms, p)``, reading ``bath.excitation`` anew.
+
+    ``estimator`` is ``"jeffreys"`` or ``"raw"``, as in
+    :func:`~thermoscale.estimators.estimate_beta_from_count`, applied to the
+    port fraction. Returns the per-trial phase estimates of ``theta * m``,
+    with ``delta`` subtracted again (always finite, and negative where the
+    count lies beyond the reference point), and beta estimates, NaN where the
+    inferred count leaves ``(0, m_atoms)``. The trial loop only positions the
+    stream and draws; both estimates are then computed once per distinct port
+    count, as the inversion depends on the count alone.
     """
     import numpy as np
 
     require_phase_window(bath, n_atoms)
     if shots < 1:
         raise ValueError(f"shots must be at least 1, got {shots}")
-    mode = BathMode(mode)
-    raw = EstimatorMode(estimator) is EstimatorMode.RAW
+    check_mode("bath mode", mode, BATH_MODES)
+    check_mode("estimator", estimator, ESTIMATORS)
+    raw = estimator == "raw"
     delta = reference_phase(bath, n_atoms)
     offset = delta / n_atoms
-    theta = bath.theta
-    fixed = mode is BathMode.FIXED_M
-    if fixed:
-        port = noon_outcome_probability(n_atoms, theta * bath_excitation_draw(bath, mode, rng) + offset)
-    counts = np.empty(trials, dtype=np.int64)
-    for t, gen in enumerate(rng.generators(trials)):
-        if not fixed:
-            port = noon_outcome_probability(n_atoms, theta * bath_excitation_draw(bath, mode, gen) + offset)
-        counts[t] = gen.binomial(shots, port)
-    distinct = sorted(set(counts.tolist()))
+    theta, m_atoms = bath.theta, bath.m_atoms
+    if mode == "fixed_m":
+        port = noon_outcome_probability(n_atoms, theta * round(m_atoms * bath.excitation) + offset)
+        counts = [gen.binomial(shots, port) for gen in rng.generators(trials)]
+    else:
+        counts = []
+        for gen in rng.generators(trials):
+            m = gen.binomial(m_atoms, bath.excitation)
+            counts.append(gen.binomial(shots, noon_outcome_probability(n_atoms, theta * m + offset)))
+    distinct = sorted(set(counts))
     phases, betas = np.empty((2, len(distinct)), dtype=float)
     for i, k in enumerate(distinct):
         phi = _phase_from_port_fraction(k / shots if raw else (k + 0.5) / (shots + 1.0), n_atoms, delta)
@@ -274,9 +258,9 @@ def noon_phase_estimates(
     n_atoms: int,
     repetitions: int,
     trials: int,
-    mode: BathModeLike,
+    mode: str,
     rng: RngStream,
-    estimator: ModeLike = EstimatorMode.JEFFREYS,
+    estimator: str = "jeffreys",
 ) -> np.ndarray:
     """Per-trial phase estimates of the entangled protocol: the phase half of
     :func:`run_interferometer_trials`, finite even where the beta estimate is invalid."""

@@ -15,13 +15,13 @@ from __future__ import annotations
 import io
 import json
 import math
+import operator
 from dataclasses import dataclass, fields
 from typing import Iterable, Optional, Sequence, TextIO
 
-from .estimators import EmptyBatchError, EstimatorMode, ModeLike, make_batch, run_thermalizing_trials
+from .estimators import ESTIMATORS, EmptyBatchError, check_mode, make_batch, run_thermalizing_trials
 from .interferometry import (
-    BathMode,
-    BathModeLike,
+    BATH_MODES,
     BathSpec,
     require_phase_window,
     run_interferometer_trials,
@@ -81,7 +81,11 @@ class SweepPlan:
 
     ``epsilon`` and ``beta_true`` drive the thermalizing protocol directly;
     the interferometric protocols take them from ``bath``. ``repetitions`` is
-    the per-trial shot count of the entangled protocol.
+    the per-trial shot count of the entangled protocol. ``estimator`` is
+    ``"jeffreys"`` or ``"raw"`` (see
+    :func:`~thermoscale.estimators.estimate_beta_from_count`) and
+    ``bath_mode`` is ``"fixed_m"`` or ``"sampled_m"`` (see
+    :func:`~thermoscale.interferometry.run_interferometer_trials`).
     """
 
     protocol: str
@@ -90,16 +94,16 @@ class SweepPlan:
     master_seed: int
     epsilon: float = 1.0
     beta_true: Optional[float] = None
-    estimator: ModeLike = EstimatorMode.JEFFREYS
+    estimator: str = "jeffreys"
     bath: Optional[BathSpec] = None
-    bath_mode: BathModeLike = BathMode.FIXED_M
+    bath_mode: str = "fixed_m"
     repetitions: int = 2
 
     def validate(self) -> None:
         """Check every protocol invariant before any trial runs."""
         if self.protocol not in PROTOCOLS:
             raise SweepConfigError(f"unknown protocol {self.protocol!r}; expected one of {PROTOCOLS}")
-        values = tuple(self.n_values)
+        values = tuple(_integer("each of n_values", n) for n in self.n_values)
         if len(values) < MIN_FIT_POINTS:
             raise SweepConfigError(
                 f"need at least {MIN_FIT_POINTS} sweep sizes for a fit, got {len(values)}"
@@ -109,8 +113,10 @@ class SweepPlan:
         if values[0] < 1:
             raise SweepConfigError("n_values must be positive")
         # one substream per trial, and a stream has 2**32 of them
-        if not 2 <= self.trials_per_n <= _SUBSTREAM_STRIDE:
+        if not 2 <= _integer("trials_per_n", self.trials_per_n) <= _SUBSTREAM_STRIDE:
             raise SweepConfigError(f"trials_per_n must lie in [2, 2**32], got {self.trials_per_n}")
+        check_mode("estimator", self.estimator, ESTIMATORS, SweepConfigError)
+        check_mode("bath_mode", self.bath_mode, BATH_MODES, SweepConfigError)
         if self.protocol == "thermalizing":
             if self.beta_true is None or self.beta_true < 0:
                 raise SweepConfigError("thermalizing sweep needs a nonnegative beta_true")
@@ -119,10 +125,18 @@ class SweepPlan:
         else:
             if self.bath is None:
                 raise SweepConfigError(f"{self.protocol} sweep needs a bath specification")
-            if self.protocol == "noon" and self.repetitions < 2:
+            if self.protocol == "noon" and _integer("repetitions", self.repetitions) < 2:
                 raise SweepConfigError("noon sweep needs repetitions >= 2")
             # phase window must hold at the largest swept size
             require_phase_window(self.bath, max(values) if self.protocol == "noon" else 1)
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an int, if it is one (``operator.index``); SweepConfigError otherwise."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise SweepConfigError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _sweep_point(plan: SweepPlan, n: int, stream: RngStream) -> SweepRecord:

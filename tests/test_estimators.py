@@ -5,12 +5,13 @@ import pytest
 
 from thermoscale.estimators import (
     EmptyBatchError,
-    EstimatorMode,
     estimate_beta_from_count,
     make_batch,
     run_thermalizing_trials,
 )
+from thermoscale.interferometry import BathSpec, max_theta, run_interferometer_trials
 from thermoscale.rng import RngStream
+from thermoscale.sweep import SweepConfigError, SweepPlan
 from thermoscale.thermal import TwoLevelSpec, shot_noise_sigma_beta, thermal_summary
 
 # frozen guard for the deterministic 1/N part of the jeffreys estimator bias,
@@ -22,7 +23,7 @@ class TestEstimateBetaFromCount:
     def test_jeffreys_symmetry_point(self):
         # k = n/2 shrinks to exactly one half, so the estimate is exactly zero
         assert estimate_beta_from_count(5, 10, 1.0, "jeffreys") == 0.0
-        assert estimate_beta_from_count(50, 100, 1.0, EstimatorMode.JEFFREYS) == 0.0
+        assert estimate_beta_from_count(50, 100, 1.0) == 0.0
 
     def test_raw_boundary_is_invalid(self):
         assert estimate_beta_from_count(0, 10, 1.0, "raw") is None
@@ -46,11 +47,28 @@ class TestEstimateBetaFromCount:
 
     @pytest.mark.parametrize("mode", ["bogus", "JEFFREYS"])
     def test_unknown_mode_raises(self, mode):
-        # mode values are lower case; nothing may fall back to Jeffreys
+        # modes are the lower-case strings exactly; nothing may fall back to a
+        # default, in any entry point that takes a mode
         with pytest.raises(ValueError):
             estimate_beta_from_count(5, 10, 1.0, mode)
         with pytest.raises(ValueError):
             run_thermalizing_trials(TwoLevelSpec(10, 1.0), 1.0, 20, mode, RngStream(1))
+        bath = BathSpec(100, 1.0, 1.0, max_theta(100), 1.0)
+        with pytest.raises(ValueError):
+            run_interferometer_trials(bath, 1, 10, 20, "fixed_m", RngStream(1), estimator=mode)
+        sizes = (16, 32, 64, 128)
+        plans = [
+            SweepPlan("thermalizing", sizes, 20, 1, beta_true=1.0, estimator=mode),
+            SweepPlan("sn", sizes, 20, 1, bath=bath, estimator=mode),
+        ]
+        for bath_mode in (mode, "FIXED_M"):
+            with pytest.raises(ValueError):
+                run_interferometer_trials(bath, 1, 10, 20, bath_mode, RngStream(1))
+            plans.append(SweepPlan("sn", sizes, 20, 1, bath=bath, bath_mode=bath_mode))
+        # validate runs no trial, so a plan is refused before its first point
+        for plan in plans:
+            with pytest.raises(SweepConfigError):
+                plan.validate()
 
 
 class TestRunThermalizingTrials:

@@ -6,10 +6,8 @@ import pytest
 
 from thermoscale.estimators import EmptyBatchError, make_batch
 from thermoscale.interferometry import (
-    BathMode,
     BathSpec,
     PhaseWindowError,
-    bath_excitation_draw,
     beta_from_port_fraction,
     dephasing_visibility,
     max_theta,
@@ -39,11 +37,20 @@ def beta_batch(*engine_args, **engine_kwargs):
     return make_batch(run_interferometer_trials(*engine_args, **engine_kwargs)[1])
 
 
+def engine_bath_counts(bath, mode, trials, stream):
+    """The excited bath count of each engine trial, read off one atom's phase
+    estimate over 10**12 shots, whose spread (about 1e-6 rad) resolves it."""
+    phases, _ = run_interferometer_trials(bath, 1, 10**12, trials, mode, stream)
+    return [int(m) for m in np.rint(phases / bath.theta)]
+
+
 def replay_trial(bath, n_atoms, shots, mode, gen, estimator="jeffreys"):
     """One trial rebuilt from public primitives, read at the reference phase:
-    (m, counts, phase, beta or None)."""
+    (m, counts, phase, beta or None). The bath count is drawn here as well: the
+    rounded thermal mean for a fixed bath, a thermal binomial draw otherwise."""
     delta = reference_phase(bath, n_atoms)
-    m = bath_excitation_draw(bath, mode, gen)
+    p = bath.excitation
+    m = round(bath.m_atoms * p) if mode == "fixed_m" else int(gen.binomial(bath.m_atoms, p))
     counts = int(gen.binomial(shots, noon_outcome_probability(n_atoms, bath.theta * m + delta / n_atoms)))
     p_hat = counts / shots if estimator == "raw" else (counts + 0.5) / (shots + 1.0)
     phase = (2.0 * math.acos(math.sqrt(p_hat)) - delta) / n_atoms
@@ -51,22 +58,21 @@ def replay_trial(bath, n_atoms, shots, mode, gen, estimator="jeffreys"):
 
 
 class TestBathExcitationDraw:
+    # the engine's bath count, read off its phase estimates
     def test_fixed_symmetry_point(self):
-        assert bath_excitation_draw(make_bath(beta=0.0), "fixed_m", RngStream(1)) == 50
+        assert engine_bath_counts(make_bath(beta=0.0), "fixed_m", 3, RngStream(1)) == [50] * 3
 
     def test_fixed_quarter_population(self):
-        assert bath_excitation_draw(make_bath(beta=LN3), BathMode.FIXED_M, RngStream(1)) == 25
+        assert engine_bath_counts(make_bath(beta=LN3), "fixed_m", 3, RngStream(1)) == [25] * 3
 
     def test_sampled_moments(self):
-        gen = RngStream(2).generator()
-        bath = make_bath(beta=0.0)
-        draws = np.array([bath_excitation_draw(bath, "sampled_m", gen) for _ in range(10**4)])
+        draws = np.array(engine_bath_counts(make_bath(beta=0.0), "sampled_m", 10**4, RngStream(2)))
         assert abs(draws.mean() - 50.0) < 5 * 5.0 / 100.0
         assert abs(draws.var() - 25.0) < 0.1 * 25.0
 
     def test_fixed_draw_is_deterministic(self):
         bath = make_bath()
-        values = {bath_excitation_draw(bath, "fixed_m", RngStream(i)) for i in range(5)}
+        values = {m for i in range(5) for m in engine_bath_counts(bath, "fixed_m", 2, RngStream(i))}
         assert values == {25}
 
 
@@ -197,7 +203,7 @@ class TestSnProtocol:
         # frozen bath, one raw shot: the port fraction is 0 or 1, a fringe
         # extremum, which lies outside the readout window either way
         bath = make_bath(beta=50.0)
-        assert bath_excitation_draw(bath, "fixed_m", RngStream(1)) == 0
+        assert engine_bath_counts(bath, "fixed_m", 1, RngStream(1)) == [0]
         _, betas = run_interferometer_trials(bath, 1, 1, 1, "fixed_m", RngStream(3), estimator="raw")
         assert math.isnan(betas[0])
 
@@ -291,6 +297,18 @@ class TestOutcomeSampling:
         assert 0 <= counts <= 50
         phases, _ = run_interferometer_trials(bath, 2, 50, 1, "fixed_m", stream)
         assert phases[0] == phase
+
+    def test_fixed_bath_rounds_the_mean_count(self):
+        # M * p = 37.75 is no integer: a fixed bath holds m at round(M * p) = 38,
+        # not at its floor, in the replay and in the engine alike
+        bath = make_bath(beta=0.5)
+        assert bath.m_atoms * bath.excitation == pytest.approx(37.75, abs=0.01)
+        stream = RngStream(62)
+        trials = [replay_trial(bath, 1, 10**4, "fixed_m", stream.substream(t).generator()) for t in range(20)]
+        assert {m for m, _, _, _ in trials} == {38}
+        phases, _ = run_interferometer_trials(bath, 1, 10**4, 20, "fixed_m", stream)
+        assert list(phases) == [phase for _, _, phase, _ in trials]
+        assert engine_bath_counts(bath, "fixed_m", 3, stream) == [38] * 3
 
     def test_sampled_mode_varies_m(self):
         bath = make_bath(beta=0.0)

@@ -77,6 +77,27 @@ class TestPlanValidation:
         with pytest.raises(SweepConfigError):
             SweepPlan("thermalizing", (16, 32, 64, 128), 2**32 + 1, 0, beta_true=1.0).validate()
 
+    def test_trials_must_be_an_integer(self):
+        with pytest.raises(SweepConfigError):
+            SweepPlan("thermalizing", (16, 32, 64, 128), 10.5, 0, beta_true=1.0).validate()
+
+    def test_sizes_must_be_integers(self):
+        bath = BathSpec(100, 1.0, 1.0, max_theta(100, 8), 1.0)
+        with pytest.raises(SweepConfigError):
+            SweepPlan("noon", (1.5, 2, 4, 8), 10, 0, bath=bath, repetitions=8).validate()
+
+    def test_repetitions_must_be_an_integer(self):
+        bath = BathSpec(100, 1.0, 1.0, max_theta(100, 8), 1.0)
+        with pytest.raises(SweepConfigError):
+            SweepPlan("noon", (1, 2, 4, 8), 10, 0, bath=bath, repetitions=2.5).validate()
+
+    def test_integer_like_values_are_accepted(self):
+        # anything operator.index takes is an integer, numpy's integers included
+        np = pytest.importorskip("numpy")
+        bath = BathSpec(100, 1.0, 1.0, max_theta(100, 8), 1.0)
+        sizes = tuple(np.int64(n) for n in (1, 2, 4, 8))
+        SweepPlan("noon", sizes, np.int64(10), 0, bath=bath, repetitions=np.int64(8)).validate()
+
     def test_phase_window_checked_at_largest_size(self):
         bath = BathSpec(100, 1.0, 1.0, max_theta(100, 8), 1.0)
         SweepPlan("noon", (2, 4, 8), 10, 0, bath=bath, repetitions=8)  # no validate yet
