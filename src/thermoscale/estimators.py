@@ -131,12 +131,14 @@ def run_thermalizing_trials(
     are counted, not thrown. Raises :class:`EmptyBatchError` if fewer than two
     trials survive.
 
-    Each trial still makes one :func:`estimate_beta_from_count` call, and so
-    one ``invert_mean_fraction`` call, although at most ``n_atoms + 1``
-    distinct counts occur: ``perfbench/selftest.py`` requires one stream step,
-    one estimator call and one inversion per thermalizing trial, and the
-    array engine of ROADMAP.md open item 2 replaces this loop once the
-    benchmark counts trials instead of calls.
+    Each trial still positions its own stream and makes one
+    :func:`estimate_beta_from_count` call, and so one ``invert_mean_fraction``
+    call, although at most ``n_atoms + 1`` distinct counts occur:
+    ``perfbench/selftest.py`` requires one stream step, one estimator call and
+    one inversion per thermalizing trial. The counts alone could come from
+    :meth:`~thermoscale.rng.RngStream.binomials`, bit for bit the same, as the
+    fixed-bath interferometric trials do; ROADMAP.md open item 2 moves this
+    loop to it once the benchmark counts trials instead of calls.
     """
     if trials < 2:
         raise ValueError(f"trials must be at least 2, got {trials}")

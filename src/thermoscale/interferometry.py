@@ -13,9 +13,14 @@ statistics:
   ``N * phi_b`` and the phase spread falls as ``1/N``.
 
 One engine, :func:`run_interferometer_trials`, runs both: the single-atom
-protocol is the entangled one with one atom and one shot per probe. Its
-per-trial loop only positions the stream and draws; the phase and beta
-estimates are computed once per distinct port count and gathered by index.
+protocol is the entangled one with one atom and one shot per probe. With a
+fixed bath the port probability is the same for every trial, so all port
+counts come from one array draw, :meth:`~thermoscale.rng.RngStream.binomials`,
+which equals numpy's binomial on each trial's substream bit for bit. With a
+sampled bath each trial still positions its stream and draws ``m`` and then
+the port count in a Python loop: ``perfbench/selftest.py`` requires one
+stream step per trial on that workload. The phase and beta estimates are
+computed once per distinct port count and gathered by index.
 
 Both close the interferometer with the same splitter convention, modelled on
 the two-dimensional subspace of "all atoms in arm 3" / "all atoms in arm 4"
@@ -221,9 +226,10 @@ def run_interferometer_trials(
     port fraction. Returns the per-trial phase estimates of ``theta * m``,
     with ``delta`` subtracted again (always finite, and negative where the
     count lies beyond the reference point), and beta estimates, NaN where the
-    inferred count leaves ``(0, m_atoms)``. The trial loop only positions the
-    stream and draws; both estimates are then computed once per distinct port
-    count, as the inversion depends on the count alone.
+    inferred count leaves ``(0, m_atoms)``. A fixed bath draws every port
+    count in one call of :meth:`~thermoscale.rng.RngStream.binomials`; a
+    sampled bath loops over the substreams. Both estimates are then computed
+    once per distinct port count, as the inversion depends on the count alone.
     """
     import numpy as np
 
@@ -238,13 +244,14 @@ def run_interferometer_trials(
     theta, m_atoms = bath.theta, bath.m_atoms
     if mode == "fixed_m":
         port = noon_outcome_probability(n_atoms, theta * round(m_atoms * bath.excitation) + offset)
-        counts = [gen.binomial(shots, port) for gen in rng.generators(trials)]
+        counts = rng.binomials(trials, shots, port)
     else:
-        counts = []
+        draws = []
         for gen in rng.generators(trials):
             m = gen.binomial(m_atoms, bath.excitation)
-            counts.append(gen.binomial(shots, noon_outcome_probability(n_atoms, theta * m + offset)))
-    distinct = sorted(set(counts))
+            draws.append(gen.binomial(shots, noon_outcome_probability(n_atoms, theta * m + offset)))
+        counts = np.array(draws)
+    distinct = sorted(set(counts.tolist()))
     phases, betas = np.empty((2, len(distinct)), dtype=float)
     for i, k in enumerate(distinct):
         phi = _phase_from_port_fraction(k / shots if raw else (k + 0.5) / (shots + 1.0), n_atoms, delta)

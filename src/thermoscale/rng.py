@@ -8,22 +8,39 @@ statistically independent draws whose values do not depend on the order in
 which streams are consumed. Campaigns derive one substream per trial, which
 makes batch results invariant under any execution schedule.
 
-numpy is imported by the two methods that build a generator, not by the
+:meth:`RngStream.binomials` draws one binomial count per substream as array
+code and gives exactly what numpy's ``Generator.binomial`` gives on each
+substream (see :mod:`thermoscale._binomial`); a trial that the first Philox
+block of its substream does not finish is redrawn by numpy.
+
+numpy is imported by the methods that build a generator or draw, not by the
 module, so the closed forms and oracles run without it.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 if TYPE_CHECKING:
     import numpy as np
 
 _MAX_SEED = 2**64
 _MAX_INDEX = 2**128
+_MAX_COUNT = 2**63  # numpy's binomial takes n as an int64
 _SUBSTREAM_STRIDE = 2**32
 _WORD_MASK = 0xFFFFFFFFFFFFFFFF
+
+
+def _index(what: str, value) -> int:
+    """``value`` as an int if ``operator.index`` takes it and it is no bool; ValueError otherwise."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -32,20 +49,26 @@ class RngStream:
 
     ``master_seed`` keys the generator (64 bits). ``stream_index`` selects a
     counter block; each block is 2**128 draws long, far more than any single
-    consumer can use, so blocks never overlap.
+    consumer can use, so blocks never overlap. Both must be integers; they are
+    stored as Python ints.
     """
 
     master_seed: int
     stream_index: int = 0
 
     def __post_init__(self) -> None:
-        if not 0 <= int(self.master_seed) < _MAX_SEED:
-            raise ValueError(f"master_seed must be a 64-bit unsigned integer, got {self.master_seed}")
-        if not 0 <= int(self.stream_index) < _MAX_INDEX:
-            raise ValueError(f"stream_index must fit in 128 bits, got {self.stream_index}")
+        seed = _index("master_seed", self.master_seed)
+        index = _index("stream_index", self.stream_index)
+        if not 0 <= seed < _MAX_SEED:
+            raise ValueError(f"master_seed must be a 64-bit unsigned integer, got {seed}")
+        if not 0 <= index < _MAX_INDEX:
+            raise ValueError(f"stream_index must fit in 128 bits, got {index}")
+        object.__setattr__(self, "master_seed", seed)
+        object.__setattr__(self, "stream_index", index)
 
     def substream(self, index: int) -> "RngStream":
         """Child stream ``index``. Children of distinct parents never collide."""
+        index = _index("substream index", index)
         if not 0 <= index < _SUBSTREAM_STRIDE:
             raise ValueError(f"substream index must fit in 32 bits, got {index}")
         return RngStream(self.master_seed, self.stream_index * _SUBSTREAM_STRIDE + index)
@@ -69,14 +92,44 @@ class RngStream:
         checked at the call, before any generator is yielded; ``count`` may not
         exceed 2**32, or the range would run into the next stream's substreams.
         """
-        if not 0 <= count <= _SUBSTREAM_STRIDE:
+        base = self._first_substream(count)
+        return self._positioned(range(base, base + count))
+
+    def binomials(self, count: int, n: int, p: float) -> np.ndarray:
+        """``[g.binomial(n, p) for g in self.generators(count)]`` as an int64 array.
+
+        The counts are bit for bit numpy's, drawn as array code from the first
+        Philox block of each substream (see :mod:`thermoscale._binomial`); the
+        few trials that need more than one block are redrawn by numpy. Refuses
+        what ``Generator.binomial`` refuses, ``n < 0`` and ``p`` outside
+        ``[0, 1]`` or NaN, and what :meth:`generators` refuses, all at the call.
+        """
+        base = self._first_substream(count)
+        n = _index("n", n)
+        if not 0 <= n < _MAX_COUNT:
+            raise ValueError(f"n must lie in [0, 2**63), got {n}")
+        p = float(p)
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"p must lie in [0, 1], got {p}")
+        from ._binomial import first_block_binomials
+
+        counts, redraw = first_block_binomials(self.master_seed, base, count, n, p)
+        redo = redraw.nonzero()[0].tolist()
+        for t, gen in zip(redo, self._positioned([base + t for t in redo])):
+            counts[t] = gen.binomial(n, p)
+        return counts
+
+    def _first_substream(self, count: int) -> int:
+        """Absolute index of substream 0, once ``count`` substreams are known to fit."""
+        if not 0 <= _index("count", count) <= _SUBSTREAM_STRIDE:
             raise ValueError(f"count must lie in [0, 2**32], got {count}")
         base = self.stream_index * _SUBSTREAM_STRIDE
         if base + count > _MAX_INDEX:
             raise ValueError("substream range exceeds the 128-bit index space")
-        return self._positioned(base, count)
+        return base
 
-    def _positioned(self, base: int, count: int) -> Iterator[np.random.Generator]:
+    def _positioned(self, indices: Iterable[int]) -> Iterator[np.random.Generator]:
+        """One generator, positioned in turn at the start of each absolute substream index."""
         import numpy as np
 
         bitgen = np.random.Philox(key=self.master_seed)
@@ -86,7 +139,7 @@ class RngStream:
         state = bitgen.state
         state.update(buffer=[0, 0, 0, 0], buffer_pos=4, has_uint32=0, uinteger=0)
         state["state"] = {"counter": counter, "key": state["state"]["key"].tolist()}
-        for index in range(base, base + count):
+        for index in indices:
             counter[2] = index & _WORD_MASK
             counter[3] = index >> 64
             bitgen.state = state

@@ -15,7 +15,6 @@ from __future__ import annotations
 import io
 import json
 import math
-import operator
 from dataclasses import dataclass, fields
 from typing import Iterable, Optional, Sequence, TextIO
 
@@ -28,7 +27,7 @@ from .interferometry import (
     sigma_beta_h_theory,
     sigma_beta_sn_theory,
 )
-from .rng import _SUBSTREAM_STRIDE, RngStream
+from .rng import _MAX_SEED, _SUBSTREAM_STRIDE, RngStream, _index
 from .thermal import (
     DegenerateSensitivityError,
     TwoLevelSpec,
@@ -112,6 +111,8 @@ class SweepPlan:
             raise SweepConfigError(f"n_values must be strictly increasing, got {values}")
         if values[0] < 1:
             raise SweepConfigError("n_values must be positive")
+        if not 0 <= _integer("master_seed", self.master_seed) < _MAX_SEED:
+            raise SweepConfigError(f"master_seed must lie in [0, 2**64), got {self.master_seed}")
         # one substream per trial, and a stream has 2**32 of them
         if not 2 <= _integer("trials_per_n", self.trials_per_n) <= _SUBSTREAM_STRIDE:
             raise SweepConfigError(f"trials_per_n must lie in [2, 2**32], got {self.trials_per_n}")
@@ -132,11 +133,12 @@ class SweepPlan:
 
 
 def _integer(name: str, value) -> int:
-    """``value`` as an int, if it is one (``operator.index``); SweepConfigError otherwise."""
+    """``value`` as an int, if ``operator.index`` takes it and it is no bool;
+    SweepConfigError otherwise."""
     try:
-        return operator.index(value)
-    except TypeError:
-        raise SweepConfigError(f"{name} must be an integer, got {value!r}") from None
+        return _index(name, value)
+    except ValueError as exc:
+        raise SweepConfigError(str(exc)) from None
 
 
 def _sweep_point(plan: SweepPlan, n: int, stream: RngStream) -> SweepRecord:

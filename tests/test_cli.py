@@ -223,13 +223,18 @@ class TestDegenerateSensitivity:
 
     def test_sweep_exits_2_before_any_trial(self, tmp_path, monkeypatch, capsys):
         streams = []
-        generators = RngStream.generators
+        generators, binomials = RngStream.generators, RngStream.binomials
 
         def spy(self, count):
             streams.append(self)
             return generators(self, count)
 
+        def binomials_spy(self, count, n, p):
+            streams.append(self)
+            return binomials(self, count, n, p)
+
         monkeypatch.setattr(RngStream, "generators", spy)
+        monkeypatch.setattr(RngStream, "binomials", binomials_spy)
         out = tmp_path / "x.csv"
         code = run_cli(
             "sweep", "--protocol", "noon", "--n-values", "2,4,8,16", "--trials", "20",

@@ -48,13 +48,13 @@ POSITIONING_CONSUMERS = {
 }
 
 
+# top-bit keys, and a base index whose substreams set counter words 2 and 3
+EDGE_STREAMS = [RngStream(2**64 - 1, 3), RngStream(2**63 + 5), RngStream(7, 2**96 - 1)]
+EDGE_STREAM_IDS = ["seed-2^64-1", "seed-2^63+5", "index-2^96-1"]
+
+
 @pytest.mark.parametrize("consumer", POSITIONING_CONSUMERS.values(), ids=list(POSITIONING_CONSUMERS))
-@pytest.mark.parametrize(
-    "stream",
-    # top-bit keys, and a base index whose substreams set counter words 2 and 3
-    [RngStream(2**64 - 1, 3), RngStream(2**63 + 5), RngStream(7, 2**96 - 1)],
-    ids=["seed-2^64-1", "seed-2^63+5", "index-2^96-1"],
-)
+@pytest.mark.parametrize("stream", EDGE_STREAMS, ids=EDGE_STREAM_IDS)
 def test_generators_reposition_exactly(stream, consumer):
     fast = [consumer(gen) for gen in stream.generators(40)]
     slow = [consumer(stream.substream(i).generator()) for i in range(40)]
@@ -89,21 +89,113 @@ def test_validation():
         RngStream(0).substream(2**32)
     with pytest.raises(ValueError):
         RngStream(0).substream(-1)
+    # integers only: a float or a bool is not a seed, an index or a substream
+    for bad in (1.5, True, "1"):
+        with pytest.raises(ValueError):
+            RngStream(bad)
+        with pytest.raises(ValueError):
+            RngStream(0, bad)
+        with pytest.raises(ValueError):
+            RngStream(0).substream(bad)
+
+
+def test_integer_like_seeds_are_stored_as_ints():
+    stream = RngStream(np.uint64(2**64 - 1), np.int64(3))
+    assert stream == RngStream(2**64 - 1, 3)
+    assert type(stream.master_seed) is int and type(stream.stream_index) is int
+    assert stream.substream(np.uint32(7)) == RngStream(2**64 - 1, 3 * 2**32 + 7)
 
 
 @pytest.mark.parametrize(
     "stream, count",
-    # a negative count, ranges running past the last 128-bit index, and a count
-    # whose position 2^32 would be substream 0 of the next stream
+    # a negative count, ranges running past the last 128-bit index, a count
+    # whose position 2^32 would be substream 0 of the next stream, and a float
     [
         (RngStream(0), -1),
         (RngStream(0, 2**96 - 1), 2**32 + 1),
         (RngStream(0, 2**96), 1),
         (RngStream(9, 0), 2**32 + 1),
+        (RngStream(9, 0), 2.5),
     ],
-    ids=["negative count", "beyond 2^128", "one past 2^128", "into the next stream"],
+    ids=["negative count", "beyond 2^128", "one past 2^128", "into the next stream", "non-integer count"],
 )
 def test_generators_validate_at_the_call(stream, count):
     # the error comes from the call itself, before any next()
     with pytest.raises(ValueError):
         stream.generators(count)
+
+
+BINOMIAL_CASES = {
+    # numpy inverts when min(p, 1 - p) * n <= 30 and runs BTPE otherwise
+    "inversion": (50, 0.3),
+    "inversion at n*p = 30": (60, 0.5),
+    "inversion, p > 1/2": (40, 0.9),
+    "btpe at n*p = 31": (100, 0.31),
+    "btpe": (200, 0.47),
+    "btpe, p > 1/2": (200, 0.83),
+    "btpe, Stirling bounds": (5000, 0.5),
+    "p = 0": (50, 0.0),
+    "p = 1": (50, 1.0),
+    "n = 0": (0, 0.4),
+    "n = 1": (1, 0.4),
+    # 1 - p rounds here, so numpy's q**n = exp(n * log1p(-p)) differs from
+    # exp(n * log(1 - p)) enough to move a few counts on each stream
+    "n = 10^12, inversion": (10**12, 1.7e-11),
+    "n = 10^12, btpe": (10**12, 0.3),
+}
+
+
+def spy_redraws(monkeypatch):
+    """Record the substreams that binomials hands back to numpy."""
+    redrawn = []
+    positioned = RngStream._positioned
+
+    def spy(self, indices):
+        indices = list(indices)
+        redrawn.extend(indices)
+        return positioned(self, indices)
+
+    monkeypatch.setattr(RngStream, "_positioned", spy)
+    return redrawn
+
+
+@pytest.mark.parametrize("n, p", BINOMIAL_CASES.values(), ids=list(BINOMIAL_CASES))
+@pytest.mark.parametrize("stream", EDGE_STREAMS, ids=EDGE_STREAM_IDS)
+def test_binomials_match_the_generators_loop(stream, n, p, monkeypatch):
+    loop = [gen.binomial(n, p) for gen in stream.generators(3000)]
+    redrawn = spy_redraws(monkeypatch)
+    drawn = stream.binomials(3000, n, p)
+    assert drawn.dtype == np.int64 and drawn.shape == (3000,)
+    assert drawn.tolist() == loop
+    if min(p, 1.0 - p) * n > 30:
+        # a trial is redrawn only after both BTPE iterations of its first
+        # block reject, so 3000 trials exercise the second iteration and the redraw
+        assert redrawn
+
+
+@pytest.mark.parametrize("count", [0, 1])
+def test_binomials_of_zero_and_one_trials(count):
+    stream = RngStream(2**63 + 5)
+    for n, p in [(200, 0.47), (50, 0.3)]:
+        drawn = stream.binomials(count, n, p)
+        assert drawn.dtype == np.int64
+        assert drawn.tolist() == [gen.binomial(n, p) for gen in stream.generators(count)]
+
+
+@pytest.mark.parametrize(
+    "n, p",
+    [(-1, 0.5), (10, -0.1), (10, 1.1), (10, float("nan")), (2.5, 0.5)],
+    ids=["negative n", "negative p", "p above 1", "p NaN", "non-integer n"],
+)
+def test_binomials_refuse_what_numpy_refuses(n, p):
+    with pytest.raises(ValueError):
+        RngStream(3).binomials(10, n, p)
+    if isinstance(n, int):
+        with pytest.raises(ValueError):
+            RngStream(3).generator().binomial(n, p)
+
+
+@pytest.mark.parametrize("count", [-1, 2**32 + 1, 2.5, True])
+def test_binomials_validate_the_count(count):
+    with pytest.raises(ValueError):
+        RngStream(9).binomials(count, 10, 0.5)

@@ -91,12 +91,19 @@ class TestPlanValidation:
         with pytest.raises(SweepConfigError):
             SweepPlan("noon", (1, 2, 4, 8), 10, 0, bath=bath, repetitions=2.5).validate()
 
+    def test_master_seed_must_be_a_64_bit_integer(self):
+        SweepPlan("thermalizing", (16, 32, 64, 128), 10, 2**64 - 1, beta_true=1.0).validate()
+        for seed in (-1, 2**64, 1.5, True):
+            with pytest.raises(SweepConfigError):
+                SweepPlan("thermalizing", (16, 32, 64, 128), 10, seed, beta_true=1.0).validate()
+
     def test_integer_like_values_are_accepted(self):
         # anything operator.index takes is an integer, numpy's integers included
         np = pytest.importorskip("numpy")
         bath = BathSpec(100, 1.0, 1.0, max_theta(100, 8), 1.0)
         sizes = tuple(np.int64(n) for n in (1, 2, 4, 8))
-        SweepPlan("noon", sizes, np.int64(10), 0, bath=bath, repetitions=np.int64(8)).validate()
+        seed = np.uint64(2**64 - 1)
+        SweepPlan("noon", sizes, np.int64(10), seed, bath=bath, repetitions=np.int64(8)).validate()
 
     def test_phase_window_checked_at_largest_size(self):
         bath = BathSpec(100, 1.0, 1.0, max_theta(100, 8), 1.0)
