@@ -8,7 +8,9 @@ two iterations of BTPE (Kachitvichyanukul & Schmeiser, CACM 31(2), 1988),
 with numpy's operations in numpy's order. It returns which trials those do
 not finish, and the caller redraws them with numpy. The sampler mirrored is
 numpy 2.4's, the version the golden digests of the test suite pin;
-``tests/test_rng.py`` compares the two draw for draw.
+``tests/test_rng.py`` compares the two draw for draw. numpy does not promise
+that a Generator's stream stays the same from version to version, so under
+any other numpy every trial is handed back and drawn by numpy itself.
 
 The module imports numpy, and :mod:`thermoscale.rng` imports it only when
 a batch is drawn, so ``import thermoscale`` neither loads numpy nor compiles
@@ -30,6 +32,9 @@ _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _PHILOX_ROUNDS = 10
 
+# whether the installed numpy is the one whose sampler this module mirrors
+MIRRORS_NUMPY = np.__version__.split(".")[:2] == ["2", "4"]
+
 
 def first_block_binomials(
     key: int, base: int, count: int, n: int, p: float
@@ -37,9 +42,12 @@ def first_block_binomials(
     """numpy's ``Generator.binomial(n, p)`` on substreams ``base .. base+count-1`` of Philox key ``key``.
 
     Returns the int64 counts and a mask of the trials that need more than the
-    first block; their counts are not numpy's, and the caller redraws them.
-    ``n`` must lie in ``[0, 2**63)`` and ``p`` in ``[0, 1]``.
+    first block, every trial unless :data:`MIRRORS_NUMPY`; their counts are
+    not numpy's, and the caller redraws them. ``n`` must lie in ``[0, 2**63)``
+    and ``p`` in ``[0, 1]``.
     """
+    if not MIRRORS_NUMPY:
+        return np.zeros(count, dtype=np.int64), np.ones(count, dtype=bool)
     if count == 0 or n == 0 or p == 0.0:
         return np.zeros(count, dtype=np.int64), np.zeros(count, dtype=bool)
     # numpy samples the smaller of p and 1 - p and reflects the count
@@ -193,8 +201,9 @@ def _pmf_ratios(ys: np.ndarray, m: int, a: float, s: float) -> np.ndarray:
     for the batch in numpy's loop order: ``F`` starts at 1 and is multiplied
     by ``a / i - s`` for ``i = m+1 .. y``, or divided by it for ``i = y+1 ..
     m``. A ufunc's accumulate applies its operation element by element in
-    order, so each entry rounds as numpy's loop does."""
-    lo, hi = int(ys.min()), int(ys.max())
+    order, so each entry rounds as numpy's loop does. The table spans ``m``
+    too: a small batch may hold counts on one side of it only."""
+    lo, hi = min(int(ys.min()), m), max(int(ys.max()), m)
     factors = a / np.arange(lo + 1, hi + 1) - s
     table = np.ones(hi - lo + 1)
     table[m - lo + 1 :] = np.multiply.accumulate(factors[m - lo :])

@@ -182,6 +182,27 @@ def test_binomials_of_zero_and_one_trials(count):
         assert drawn.tolist() == [gen.binomial(n, p) for gen in stream.generators(count)]
 
 
+def test_binomials_of_few_trials_over_many_seeds():
+    # a batch of one to three trials holds two to six BTPE proposals, so on
+    # some seeds every count tested against the pmf ratio lies on one side of
+    # the mode
+    for seed in range(300):
+        stream = RngStream(seed, 3)
+        for count in (1, 2, 3):
+            for n, p in [(200, 0.47), (5000, 0.5)]:
+                loop = [gen.binomial(n, p) for gen in stream.generators(count)]
+                assert stream.binomials(count, n, p).tolist() == loop, (seed, count, n, p)
+
+
+def test_binomials_draw_through_numpy_under_another_numpy(monkeypatch):
+    stream = EDGE_STREAMS[0]
+    loop = [gen.binomial(200, 0.47) for gen in stream.generators(50)]
+    monkeypatch.setattr("thermoscale._binomial.MIRRORS_NUMPY", False)
+    redrawn = spy_redraws(monkeypatch)
+    assert stream.binomials(50, 200, 0.47).tolist() == loop
+    assert len(redrawn) == 50
+
+
 @pytest.mark.parametrize(
     "n, p",
     [(-1, 0.5), (10, -0.1), (10, 1.1), (10, float("nan")), (2.5, 0.5)],
