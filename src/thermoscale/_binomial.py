@@ -3,14 +3,18 @@
 :meth:`thermoscale.rng.RngStream.binomials` calls :func:`first_block_binomials`,
 which computes the first Philox4x64-10 block of every substream (Salmon et
 al., "Parallel random numbers: as easy as 1, 2, 3", SC'11) and runs numpy's
-own sampler on its four doubles: one attempt of the inversion algorithm, or
-two iterations of BTPE (Kachitvichyanukul & Schmeiser, CACM 31(2), 1988),
-with numpy's operations in numpy's order. It returns which trials those do
-not finish, and the caller redraws them with numpy. The sampler mirrored is
-numpy 2.4's, the version the golden digests of the test suite pin;
-``tests/test_rng.py`` compares the two draw for draw. numpy does not promise
-that a Generator's stream stays the same from version to version, so under
-any other numpy every trial is handed back and drawn by numpy itself.
+BTPE sampler (Kachitvichyanukul & Schmeiser, CACM 31(2), 1988) on its four
+doubles, two iterations with numpy's operations in numpy's order. It returns
+which trials those do not finish, and the caller redraws them with numpy.
+
+Every trial is handed back to numpy in two cases. Where numpy inverts the
+CDF instead, ``min(p, 1 - p) * n <= 30``: no benchmark workload draws there
+(noon-sweep's fixed-bath batches all have 200 shots and p near 1/2), so a
+kernel for it would be untimed code. And where the installed numpy is not
+2.4, the version whose sampler this module mirrors and the golden digests of
+the test suite pin: numpy does not promise that a Generator's stream stays
+the same from version to version. ``tests/test_rng.py`` compares the counts
+with numpy's draw for draw.
 
 The module imports numpy, and :mod:`thermoscale.rng` imports it only when
 a batch is drawn, so ``import thermoscale`` neither loads numpy nor compiles
@@ -42,21 +46,15 @@ def first_block_binomials(
     """numpy's ``Generator.binomial(n, p)`` on substreams ``base .. base+count-1`` of Philox key ``key``.
 
     Returns the int64 counts and a mask of the trials that need more than the
-    first block, every trial unless :data:`MIRRORS_NUMPY`; their counts are
-    not numpy's, and the caller redraws them. ``n`` must lie in ``[0, 2**63)``
-    and ``p`` in ``[0, 1]``.
+    first block, every trial in the inversion regime or unless
+    :data:`MIRRORS_NUMPY`; their counts are not numpy's, and the caller
+    redraws them. ``n`` must lie in ``[0, 2**63)`` and ``p`` in ``[0, 1]``.
     """
-    if not MIRRORS_NUMPY:
-        return np.zeros(count, dtype=np.int64), np.ones(count, dtype=bool)
-    if count == 0 or n == 0 or p == 0.0:
-        return np.zeros(count, dtype=np.int64), np.zeros(count, dtype=bool)
     # numpy samples the smaller of p and 1 - p and reflects the count
     r = p if p <= 0.5 else 1.0 - p
-    uniforms = _philox_first_doubles(key, base, count)
-    if r * n <= 30.0:
-        counts, redraw = _inversion_once(uniforms[0], n, r)
-    else:
-        counts, redraw = _btpe_twice(uniforms, n, r)
+    if count == 0 or r * n <= 30.0 or not MIRRORS_NUMPY:
+        return np.zeros(count, dtype=np.int64), np.ones(count, dtype=bool)
+    counts, redraw = _btpe_twice(_philox_first_doubles(key, base, count), n, r)
     return (n - counts if p > 0.5 else counts), redraw
 
 
@@ -99,31 +97,6 @@ def _log(x: np.ndarray) -> np.ndarray:
     differs from libm in the last bit on some inputs."""
     logs = (math.log(v) if v > 0.0 else -math.inf for v in x.tolist())
     return np.fromiter(logs, dtype=np.float64, count=x.size)
-
-
-def _inversion_once(u: np.ndarray, n: int, r: float) -> tuple[np.ndarray, np.ndarray]:
-    """numpy's inversion sampler for ``r * n <= 30``, one attempt on each double of ``u``.
-
-    Returns the counts and a mask of the trials whose attempt passed numpy's
-    bound, which numpy would restart on the next double.
-    """
-    q = 1.0 - r
-    px = math.exp(n * math.log1p(-r))
-    mean = n * r
-    bound = int(min(n, mean + 10.0 * math.sqrt(mean * q + 1)))
-    u = u.copy()
-    counts = np.zeros(u.shape, dtype=np.int64)
-    alive = u > px
-    x = 0
-    while alive.any():
-        x += 1
-        if x > bound:
-            break
-        counts += alive
-        u -= px
-        px = ((n - x + 1) * r * px) / (x * q)
-        alive &= u > px
-    return counts, alive
 
 
 def _btpe_twice(uniforms: np.ndarray, n: int, r: float) -> tuple[np.ndarray, np.ndarray]:

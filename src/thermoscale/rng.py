@@ -11,7 +11,8 @@ makes batch results invariant under any execution schedule.
 :meth:`RngStream.binomials` draws one binomial count per substream as array
 code and gives exactly what numpy's ``Generator.binomial`` gives on each
 substream (see :mod:`thermoscale._binomial`); a trial that the first Philox
-block of its substream does not finish is redrawn by numpy.
+block of its substream does not finish, and every trial of a batch where
+numpy inverts the CDF (``min(p, 1 - p) * n <= 30``), is drawn by numpy.
 
 numpy is imported by the methods that build a generator or draw, not by the
 module, so the closed forms and oracles run without it.
@@ -100,7 +101,8 @@ class RngStream:
 
         The counts are bit for bit numpy's, drawn as array code from the first
         Philox block of each substream (see :mod:`thermoscale._binomial`); the
-        few trials that need more than one block are redrawn by numpy. Refuses
+        few trials that need more than one block, and all of a batch with
+        ``min(p, 1 - p) * n <= 30``, are drawn by numpy. Refuses
         what ``Generator.binomial`` refuses, ``n < 0`` and ``p`` outside
         ``[0, 1]`` or NaN, and what :meth:`generators` refuses, all at the call.
         """

@@ -138,8 +138,6 @@ BINOMIAL_CASES = {
     "p = 1": (50, 1.0),
     "n = 0": (0, 0.4),
     "n = 1": (1, 0.4),
-    # 1 - p rounds here, so numpy's q**n = exp(n * log1p(-p)) differs from
-    # exp(n * log(1 - p)) enough to move a few counts on each stream
     "n = 10^12, inversion": (10**12, 1.7e-11),
     "n = 10^12, btpe": (10**12, 0.3),
 }
