@@ -17,7 +17,6 @@ from thermoscale import (
     RngStream,
     SweepPlan,
     bath_intrinsic_sigma,
-    beta_from_port_fraction,
     collect_sweep_records,
     fit_power_law,
     max_theta,
@@ -38,7 +37,12 @@ delta = reference_phase(bath, 1)
 p_true = noon_outcome_probability(1, bath.theta * m_true + delta)
 print(f"true excited count {m_true}, accumulated phase {bath.theta * m_true:.5f} rad")
 print(f"reference phase {delta:.5f} rad, bright-port probability {p_true:.6f}")
-print(f"recovered beta {beta_from_port_fraction(p_true, 1, bath):.9f} (truth {LN3:.9f})")
+# invert: the port fraction gives the phase, the phase the excited count, and
+# the count's thermal mean relation the inverse temperature
+phi_hat = 2.0 * math.acos(math.sqrt(p_true)) - delta
+m_hat = phi_hat / bath.theta
+beta_hat = math.log(bath.m_atoms / m_hat - 1.0) / bath.epsilon
+print(f"recovered beta {beta_hat:.9f} (truth {LN3:.9f})")
 
 print()
 print("=== Isolated bath: spread falls with the number of passes ===")

@@ -7,15 +7,12 @@ power-law scaling fits.
 """
 
 from .estimators import (
-    EmptyBatchError,
-    TrialBatch,
     estimate_beta_from_count,
     run_thermalizing_trials,
 )
 from .interferometry import (
     BathSpec,
     PhaseWindowError,
-    beta_from_port_fraction,
     dephasing_visibility,
     max_theta,
     measure_fringe_visibility,
@@ -49,7 +46,6 @@ from .sweep import (
     fit_power_law,
     matched_thermometer_size,
     read_jsonl_results,
-    run_sweep,
 )
 from .thermal import (
     DegenerateSensitivityError,
@@ -69,7 +65,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BathSpec",
     "DegenerateSensitivityError",
-    "EmptyBatchError",
     "PhaseWindowError",
     "RngStream",
     "ScalingFit",
@@ -79,11 +74,9 @@ __all__ = [
     "SweepPlan",
     "SweepRecord",
     "ThermalSummary",
-    "TrialBatch",
     "TwoLevelSpec",
     "UnboundedEstimateError",
     "bath_intrinsic_sigma",
-    "beta_from_port_fraction",
     "branch_phase",
     "collect_sweep_records",
     "cr_bound_sigma",
@@ -107,7 +100,6 @@ __all__ = [
     "reference_phase",
     "require_phase_window",
     "run_interferometer_trials",
-    "run_sweep",
     "run_thermalizing_trials",
     "shot_noise_sigma_beta",
     "sigma_beta_h_theory",

@@ -4,8 +4,9 @@ A trial lets the ensemble equilibrate with a bath at the true inverse
 temperature, isolates it, and measures its total energy. For independent
 two-level atoms that energy is ``epsilon`` times a binomially distributed
 excited count, so each trial reduces to one exact binomial draw followed by
-inversion of the mean excited fraction. Batch statistics over many trials
-exhibit the ``n_atoms**-0.5`` falloff of the estimate spread.
+inversion of the mean excited fraction. :func:`run_thermalizing_trials` returns
+one beta estimate per trial in a float64 array, NaN marking an invalid trial;
+their spread over many trials falls as ``n_atoms**-0.5``.
 
 Trials are independent: trial ``t`` of a batch draws from
 ``rng.substream(t)``, so results are bit-reproducible for a given
@@ -14,10 +15,10 @@ Trials are independent: trial ``t`` of a batch draws from
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+import math
+from typing import TYPE_CHECKING
 
-from .rng import RngStream
+from .rng import RngStream, _index
 from .thermal import TwoLevelSpec, excitation_probability, invert_mean_fraction
 
 if TYPE_CHECKING:
@@ -32,78 +33,27 @@ def check_mode(name: str, value: str, allowed: tuple[str, ...], error: type = Va
         raise error(f"{name} must be one of {allowed}, got {value!r}")
 
 
-class EmptyBatchError(RuntimeError):
-    """Too few valid trials to form sample statistics."""
-
-    def __init__(self, message: str, invalid_count: int = 0, trials: int = 0):
-        super().__init__(message)
-        self.invalid_count = invalid_count
-        self.trials = trials
-
-
-@dataclass(frozen=True)
-class TrialBatch:
-    """Estimates and sample statistics of one simulated thermometry campaign.
-
-    ``sample_mean`` and ``sample_std`` (unbiased, divisor n-1) are computed
-    over valid estimates only; ``invalid_count + len(estimates)`` equals the
-    number of requested trials.
-    """
-
-    estimates: np.ndarray
-    invalid_count: int
-    sample_mean: float
-    sample_std: float
-
-    @property
-    def trials(self) -> int:
-        return self.invalid_count + len(self.estimates)
-
-
-def make_batch(betas: "list[float] | np.ndarray") -> TrialBatch:
-    """Assemble a :class:`TrialBatch` from per-trial beta estimates.
-
-    ``betas`` holds one entry per trial, in trial order, with ``None`` or NaN
-    marking an invalid trial. At least two valid estimates are required.
-    """
-    import numpy as np
-
-    betas = np.asarray(betas, dtype=float)
-    values = betas[~np.isnan(betas)]
-    invalid_count = len(betas) - len(values)
-    if len(values) < 2:
-        raise EmptyBatchError(
-            f"only {len(values)} valid trial(s) out of "
-            f"{len(betas)}; cannot form sample statistics",
-            invalid_count=invalid_count,
-            trials=len(betas),
-        )
-    return TrialBatch(
-        estimates=values,
-        invalid_count=invalid_count,
-        sample_mean=float(values.mean()),
-        sample_std=float(values.std(ddof=1)),
-    )
-
-
 def estimate_beta_from_count(
     k: int,
     n_atoms: int,
     epsilon: float,
     mode: str = "jeffreys",
-) -> Optional[float]:
-    """Invert an excited count into a beta estimate, or ``None`` when invalid.
+) -> float:
+    """Invert an excited count into a beta estimate, NaN when invalid.
 
-    ``mode`` is the policy for turning the count into a fraction, and nothing
-    but these two strings is accepted:
+    ``k`` and ``n_atoms`` must be integers (``operator.index`` takes them and
+    neither is a bool). ``mode`` is the policy for turning the count into a
+    fraction, and nothing but these two strings is accepted:
 
     * ``"jeffreys"`` shrinks the fraction to ``(k + 1/2) / (n_atoms + 1)``,
       which keeps every estimate finite at the cost of a small-sample bias of
       order ``1/n_atoms``;
-    * ``"raw"`` is the plug-in inversion of ``k / n_atoms`` and returns
-      ``None`` for the degenerate counts 0 and n_atoms, whose estimate is
-      unbounded.
+    * ``"raw"`` is the plug-in inversion of ``k / n_atoms`` and returns NaN
+      for the degenerate counts 0 and n_atoms, whose estimate is unbounded.
     """
+    # a scalar binomial draw is an exact int, so only other types pay for the check
+    if type(k) is not int or type(n_atoms) is not int:
+        k, n_atoms = _index("count", k), _index("n_atoms", n_atoms)
     if not 0 <= k <= n_atoms:
         raise ValueError(f"count {k} outside [0, {n_atoms}]")
     if mode == "jeffreys":
@@ -111,7 +61,7 @@ def estimate_beta_from_count(
     else:
         check_mode("estimator", mode, ESTIMATORS)
         if k == 0 or k == n_atoms:
-            return None
+            return math.nan
         p_hat = k / n_atoms
     return invert_mean_fraction(p_hat, epsilon)
 
@@ -122,14 +72,14 @@ def run_thermalizing_trials(
     trials: int,
     mode: str,
     rng: RngStream,
-) -> TrialBatch:
+) -> np.ndarray:
     """Simulate ``trials`` thermalize-isolate-measure rounds and estimate beta in each.
 
     Trial ``t`` draws its excited count from ``rng.substream(t)`` and inverts
     it with the estimator ``mode``, ``"raw"`` or ``"jeffreys"`` (see
-    :func:`estimate_beta_from_count`); invalid trials (possible in raw mode)
-    are counted, not thrown. Raises :class:`EmptyBatchError` if fewer than two
-    trials survive.
+    :func:`estimate_beta_from_count`). Returns the per-trial beta estimates
+    as a float64 array in trial order, NaN where a trial is invalid (possible
+    in raw mode).
 
     Each trial still positions its own stream and makes one
     :func:`estimate_beta_from_count` call, and so one ``invert_mean_fraction``
@@ -140,13 +90,12 @@ def run_thermalizing_trials(
     fixed-bath interferometric trials do; ROADMAP.md open item 2 moves this
     loop to it once the benchmark counts trials instead of calls.
     """
-    if trials < 2:
-        raise ValueError(f"trials must be at least 2, got {trials}")
+    import numpy as np
+
     check_mode("estimator", mode, ESTIMATORS)
     n_atoms, epsilon = spec.n_atoms, spec.epsilon
     p = excitation_probability(epsilon, beta_true)
-    # a scalar binomial draw is already a Python int, and make_batch reads None as NaN
-    return make_batch(
+    return np.array(
         [
             estimate_beta_from_count(gen.binomial(n_atoms, p), n_atoms, epsilon, mode)
             for gen in rng.generators(trials)

@@ -20,7 +20,7 @@ which equals numpy's binomial on each trial's substream bit for bit. With a
 sampled bath each trial still positions its stream and draws ``m`` and then
 the port count in a Python loop: ``perfbench/selftest.py`` requires one
 stream step per trial on that workload. The phase and beta estimates are
-computed once per distinct port count and gathered by index.
+computed once per distinct port count and gathered into per-trial float64 arrays.
 
 Both close the interferometer with the same splitter convention, modelled on
 the two-dimensional subspace of "all atoms in arm 3" / "all atoms in arm 4"
@@ -58,10 +58,10 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from .estimators import ESTIMATORS, check_mode
-from .rng import RngStream
+from .rng import RngStream, _index
 from .thermal import DegenerateSensitivityError, excitation_probability
 
 if TYPE_CHECKING:
@@ -92,8 +92,10 @@ class BathSpec:
     tau: float
 
     def __post_init__(self) -> None:
-        if int(self.m_atoms) != self.m_atoms or self.m_atoms < 1:
-            raise ValueError(f"m_atoms must be a positive integer, got {self.m_atoms}")
+        m_atoms = _index("m_atoms", self.m_atoms)
+        if m_atoms < 1:
+            raise ValueError(f"m_atoms must be a positive integer, got {m_atoms}")
+        object.__setattr__(self, "m_atoms", m_atoms)
         if not self.epsilon > 0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if not self.beta_true >= 0:
@@ -180,24 +182,6 @@ def _beta_from_phase(phi_b_hat: float, bath: BathSpec) -> float:
     return math.log(bath.m_atoms / m_hat - 1.0) / bath.epsilon
 
 
-def beta_from_port_fraction(p_hat: float, n_atoms: int, bath: BathSpec) -> Optional[float]:
-    """Invert an observed port fraction to a beta estimate, or ``None`` when invalid.
-
-    The port fraction is read at the reference phase ``delta`` of
-    :func:`reference_phase`, so the chain is ``phi_hat = (2 * arccos(sqrt(p_hat))
-    - delta) / n_atoms``, ``m_hat = phi_hat / theta`` and the mean-occupation
-    relation ``beta_hat = log(m_atoms / m_hat - 1) / epsilon``. Inferred counts
-    outside ``(0, m_atoms)`` cannot come from a thermal mean and are invalid;
-    with ``delta > 0`` that includes the bright extremum ``p_hat = 1`` and the
-    fractions near it, whose phase estimate is negative.
-    """
-    if not 0.0 <= p_hat <= 1.0:
-        raise ValueError(f"p_hat must lie in [0, 1], got {p_hat}")
-    phi_b_hat = _phase_from_port_fraction(p_hat, n_atoms, reference_phase(bath, n_atoms))
-    beta_hat = _beta_from_phase(phi_b_hat, bath)
-    return None if math.isnan(beta_hat) else beta_hat
-
-
 def run_interferometer_trials(
     bath: BathSpec,
     n_atoms: int,
@@ -223,16 +207,18 @@ def run_interferometer_trials(
 
     ``estimator`` is ``"jeffreys"`` or ``"raw"``, as in
     :func:`~thermoscale.estimators.estimate_beta_from_count`, applied to the
-    port fraction. Returns the per-trial phase estimates of ``theta * m``,
-    with ``delta`` subtracted again (always finite, and negative where the
-    count lies beyond the reference point), and beta estimates, NaN where the
-    inferred count leaves ``(0, m_atoms)``. A fixed bath draws every port
-    count in one call of :meth:`~thermoscale.rng.RngStream.binomials`; a
-    sampled bath loops over the substreams. Both estimates are then computed
+    port fraction. ``n_atoms`` and ``shots`` must be integers. Returns two
+    float64 arrays in trial order, ``(phases, betas)``: the phase estimates of
+    ``theta * m``, with ``delta`` subtracted again (always finite, and negative
+    where the count lies beyond the reference point), and the beta estimates,
+    NaN where the inferred count leaves ``(0, m_atoms)``. A fixed bath draws
+    every port count in one call of :meth:`~thermoscale.rng.RngStream.binomials`;
+    a sampled bath loops over the substreams. Both estimates are then computed
     once per distinct port count, as the inversion depends on the count alone.
     """
     import numpy as np
 
+    n_atoms, shots = _index("n_atoms", n_atoms), _index("shots", shots)
     require_phase_window(bath, n_atoms)
     if shots < 1:
         raise ValueError(f"shots must be at least 1, got {shots}")

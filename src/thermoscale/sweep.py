@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, fields
 from typing import Iterable, Optional, Sequence, TextIO
 
-from .estimators import ESTIMATORS, EmptyBatchError, check_mode, make_batch, run_thermalizing_trials
+from .estimators import ESTIMATORS, check_mode, run_thermalizing_trials
 from .interferometry import (
     BATH_MODES,
     BathSpec,
@@ -45,7 +45,7 @@ class SweepConfigError(ValueError):
 
 
 class SweepAbortError(RuntimeError):
-    """A sweep point produced no valid trials; carries the offending size."""
+    """A sweep point produced fewer than two valid trials; carries the offending size."""
 
     def __init__(self, n: int, message: str):
         super().__init__(message)
@@ -143,11 +143,14 @@ def _integer(name: str, value) -> int:
 
 def _sweep_point(plan: SweepPlan, n: int, stream: RngStream) -> SweepRecord:
     """One sweep point: the closed-form theory first, so that a configuration
-    without a temperature response fails before any trial runs, then the trials."""
+    without a temperature response fails before any trial runs, then the trials,
+    whose valid (non-NaN) beta estimates give the spread; fewer than two abort."""
+    import numpy as np
+
     if plan.protocol == "thermalizing":
         spec = TwoLevelSpec(n_atoms=n, epsilon=plan.epsilon)
         theory = shot_noise_sigma_beta(spec, plan.beta_true)
-        batch = run_thermalizing_trials(spec, plan.beta_true, plan.trials_per_n, plan.estimator, stream)
+        betas = run_thermalizing_trials(spec, plan.beta_true, plan.trials_per_n, plan.estimator, stream)
     else:
         if plan.protocol == "sn":
             theory, n_atoms, shots = sigma_beta_sn_theory(plan.bath, n), 1, n
@@ -157,13 +160,16 @@ def _sweep_point(plan: SweepPlan, n: int, stream: RngStream) -> SweepRecord:
         _, betas = run_interferometer_trials(
             plan.bath, n_atoms, shots, plan.trials_per_n, plan.bath_mode, stream, plan.estimator
         )
-        batch = make_batch(betas)
+    valid = betas[~np.isnan(betas)]
+    invalid = len(betas) - len(valid)
+    if len(valid) < 2:
+        raise SweepAbortError(n, f"sweep point n={n} yielded {invalid}/{len(betas)} invalid trials")
     return SweepRecord(
         n=n,
-        sigma_beta_empirical=batch.sample_std,
+        sigma_beta_empirical=float(valid.std(ddof=1)),
         sigma_beta_theory=theory,
-        invalid_fraction=batch.invalid_count / batch.trials,
-        trials=batch.trials,
+        invalid_fraction=invalid / len(betas),
+        trials=len(betas),
     )
 
 
@@ -171,19 +177,12 @@ def collect_sweep_records(plan: SweepPlan) -> list[SweepRecord]:
     """Run every sweep point and return its record, in plan order.
 
     Point ``j`` draws from stream ``(master_seed, j)`` with one substream per
-    trial, so the records are a pure function of the plan. A point whose
-    trials are all invalid aborts the sweep, naming the offending size.
+    trial, so the records are a pure function of the plan. A point with fewer
+    than two valid trials aborts the sweep with :class:`SweepAbortError`,
+    naming the offending size.
     """
     plan.validate()
-    records = []
-    for j, n in enumerate(plan.n_values):
-        try:
-            records.append(_sweep_point(plan, n, RngStream(plan.master_seed, j)))
-        except EmptyBatchError as exc:
-            raise SweepAbortError(
-                n, f"sweep point n={n} yielded {exc.invalid_count}/{exc.trials} invalid trials"
-            ) from exc
-    return records
+    return [_sweep_point(plan, n, RngStream(plan.master_seed, j)) for j, n in enumerate(plan.n_values)]
 
 
 def fit_power_law(points: Sequence[tuple[int, float]]) -> ScalingFit:
@@ -222,11 +221,6 @@ def fit_power_law(points: Sequence[tuple[int, float]]) -> ScalingFit:
 
 def fit_from_records(records: Sequence[SweepRecord]) -> ScalingFit:
     return fit_power_law([(r.n, r.sigma_beta_empirical) for r in records])
-
-
-def run_sweep(plan: SweepPlan) -> ScalingFit:
-    """Run the campaign and fit the scaling exponent of the empirical spreads."""
-    return fit_from_records(collect_sweep_records(plan))
 
 
 def bath_intrinsic_sigma(m_atoms: int, epsilon: float, beta: float) -> float:

@@ -20,6 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .rng import _index
+
 
 class DegenerateSensitivityError(ValueError):
     """The mean energy does not respond to beta, so beta cannot be inferred."""
@@ -37,8 +39,10 @@ class TwoLevelSpec:
     epsilon: float
 
     def __post_init__(self) -> None:
-        if int(self.n_atoms) != self.n_atoms or self.n_atoms < 1:
-            raise ValueError(f"n_atoms must be a positive integer, got {self.n_atoms}")
+        n_atoms = _index("n_atoms", self.n_atoms)
+        if n_atoms < 1:
+            raise ValueError(f"n_atoms must be a positive integer, got {n_atoms}")
+        object.__setattr__(self, "n_atoms", n_atoms)
         if not (self.epsilon > 0 and math.isfinite(self.epsilon)):
             raise ValueError(f"epsilon must be a positive finite real, got {self.epsilon}")
 

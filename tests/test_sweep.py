@@ -20,7 +20,6 @@ from thermoscale.sweep import (
     fit_power_law,
     matched_thermometer_size,
     read_jsonl_results,
-    run_sweep,
     write_results,
 )
 from thermoscale.thermal import TwoLevelSpec, excitation_probability, shot_noise_sigma_beta
@@ -72,8 +71,11 @@ class TestPlanValidation:
             SweepPlan("sn", (16, 32, 64, 128), 10, 0).validate()
 
     def test_trials_fit_in_one_stream(self):
-        # trial t draws substream t of its point's stream, which has 2^32 of them
+        # trial t draws substream t of its point's stream, which has 2^32 of them;
+        # a sample spread needs at least two trials
         SweepPlan("thermalizing", (16, 32, 64, 128), 2**32, 0, beta_true=1.0).validate()
+        with pytest.raises(SweepConfigError):
+            SweepPlan("thermalizing", (16, 32, 64, 128), 1, 0, beta_true=1.0).validate()
         with pytest.raises(SweepConfigError):
             SweepPlan("thermalizing", (16, 32, 64, 128), 2**32 + 1, 0, beta_true=1.0).validate()
 
@@ -125,7 +127,7 @@ THERM_PLAN = SweepPlan(
 
 class TestRunSweep:
     def test_thermalizing_scaling(self):
-        fit = run_sweep(THERM_PLAN)
+        fit = fit_from_records(collect_sweep_records(THERM_PLAN))
         assert -0.6 <= fit.slope <= -0.4
         assert fit.r_squared > 0.99
 
@@ -176,7 +178,7 @@ class TestRunSweep:
             estimator="raw",
         )
         with pytest.raises(SweepAbortError) as info:
-            run_sweep(plan)
+            collect_sweep_records(plan)
         assert info.value.n == 1
         assert "n=1" in str(info.value)
 

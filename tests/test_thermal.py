@@ -116,6 +116,12 @@ class TestThermalSummary:
         with pytest.raises(ValueError):
             thermal_summary(TwoLevelSpec(1, 1.0), -0.5)
 
+    def test_spec_atom_count_is_an_integer(self):
+        # a bool is an int subclass, but no atom count
+        for n_atoms in (True, 2.0, 1.5):
+            with pytest.raises(ValueError, match="n_atoms must be an integer"):
+                TwoLevelSpec(n_atoms, 1.0)
+
 
 class TestShotNoiseSigmaBeta:
     def test_single_atom_symmetry_point(self):
