@@ -40,7 +40,10 @@ plan = SweepPlan(
 records = collect_sweep_records(plan)
 print(f"{'N':>3} {'sigma_beta':>11} {'theory':>9} {'spread*N*sqrt(reps)':>20}")
 for j, r in enumerate(records):
-    phases = noon_phase_estimates(bath, r.n, REPS, 400, "fixed_m", RngStream(616, j))
+    # the phases of this point's own trials: the sweep hands them over, nothing is simulated again
+    phases = noon_phase_estimates(
+        bath, r.n, REPS, plan.trials_per_n, "fixed_m", RngStream(plan.master_seed, j)
+    )
     spread = (sum((p - sum(phases) / len(phases)) ** 2 for p in phases) / (len(phases) - 1)) ** 0.5
     print(
         f"{r.n:3d} {r.sigma_beta_empirical:11.6f} {r.sigma_beta_theory:9.6f} "

@@ -22,6 +22,7 @@ from .estimators import ESTIMATORS, check_mode, run_thermalizing_trials
 from .interferometry import (
     BATH_MODES,
     BathSpec,
+    _offer_noon_phases,
     require_phase_window,
     run_interferometer_trials,
     sigma_beta_h_theory,
@@ -157,9 +158,10 @@ def _sweep_point(plan: SweepPlan, n: int, stream: RngStream) -> SweepRecord:
         else:
             theory = sigma_beta_h_theory(plan.bath, n) / math.sqrt(plan.repetitions)
             n_atoms, shots = n, plan.repetitions
-        _, betas = run_interferometer_trials(
-            plan.bath, n_atoms, shots, plan.trials_per_n, plan.bath_mode, stream, plan.estimator
-        )
+        request = (plan.bath, n_atoms, shots, plan.trials_per_n, plan.bath_mode, stream, plan.estimator)
+        phases, betas = run_interferometer_trials(*request)
+        if plan.protocol == "noon":  # noon_phase_estimates of this point takes them
+            _offer_noon_phases(phases, *request)
     valid = betas[~np.isnan(betas)]
     invalid = len(betas) - len(valid)
     if len(valid) < 2:

@@ -1,9 +1,12 @@
 import cmath
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from thermoscale import interferometry
 from thermoscale.interferometry import (
     BathSpec,
     PhaseWindowError,
@@ -160,6 +163,31 @@ class TestIntegerInputs:
             with pytest.raises(ValueError, match="m_atoms must be an integer"):
                 make_bath(m_atoms=m_atoms)
         assert type(make_bath(m_atoms=np.int64(100)).m_atoms) is int
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            # a fractional atom number would give a visibility above 1 (1.012 here)
+            lambda bath: measure_fringe_visibility(bath, 1.5, 1000, 10, RngStream(1)),
+            lambda bath: measure_fringe_visibility(bath, True, 1000, 10, RngStream(1)),
+            lambda bath: measure_fringe_visibility(bath, 1, 1000.5, 10, RngStream(1)),
+            lambda bath: measure_fringe_visibility(bath, 1, 1000, 10.5, RngStream(1)),
+            lambda bath: dephasing_visibility(bath, 1.5),
+            lambda bath: dephasing_visibility(bath, True),
+            lambda bath: max_theta(100.5, 1),
+            lambda bath: max_theta(100, 1.5),
+            lambda bath: max_theta(True, 2),
+            lambda bath: reference_phase(bath, 1.5),
+            lambda bath: require_phase_window(bath, True),
+            lambda bath: require_phase_window(bath, 2.0),
+            lambda bath: sigma_beta_h_theory(bath, 2.5),
+            lambda bath: sigma_m_sn_theory(0.1, 10.5),
+            lambda bath: sigma_m_sn_theory(0.1, True),
+        ],
+    )
+    def test_closed_forms_refuse_non_integer_counts(self, call):
+        with pytest.raises(ValueError, match="must be an integer"):
+            call(BathSpec(100, 1.0, 1.0, math.pi / 200, 1.0))
 
 
 class TestInversionChain:
@@ -320,6 +348,160 @@ class TestNoonProtocol:
         _, betas = run_interferometer_trials(bath, 2, 20, 50, "fixed_m", RngStream(44), "raw")
         assert np.isnan(betas).all()
         assert len(phases) == 50 and np.isfinite(phases).all()
+
+
+class TestPhaseHandoff:
+    """A noon sweep point's phases go to the next identical noon_phase_estimates request."""
+
+    BATH = make_bath(theta=max_theta(100, 8))
+    PLAN = SweepPlan("noon", (1, 2, 4, 8), 200, 90, bath=BATH, repetitions=50)
+
+    @pytest.fixture(autouse=True)
+    def empty_store(self):
+        interferometry._phase_store.clear()
+        yield
+        interferometry._phase_store.clear()
+
+    def request(self, j, n, **changes):
+        """Keyword arguments of point j's phase request, in the engine's parameter order."""
+        args = dict(bath=self.BATH, n_atoms=n, repetitions=50, trials=200, mode="fixed_m",
+                    rng=RngStream(90, j), estimator="jeffreys")
+        return {**args, **changes}
+
+    @staticmethod
+    def fresh(args):
+        return run_interferometer_trials(*args.values())[0]
+
+    def test_sweep_phases_equal_fresh_simulation(self):
+        collect_sweep_records(self.PLAN)
+        for j, n in enumerate(self.PLAN.n_values):
+            args = self.request(j, n)
+            kept = len(interferometry._phase_store)
+            phases = noon_phase_estimates(**args)
+            assert len(interferometry._phase_store) == kept - 1  # a hit, taken out
+            assert phases.tobytes() == self.fresh(args).tobytes()
+            # a second identical request misses and simulates the same values
+            assert noon_phase_estimates(**args).tobytes() == phases.tobytes()
+        assert not interferometry._phase_store
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"bath": make_bath(beta=1.0, theta=max_theta(100, 8))},
+            {"n_atoms": 3},
+            {"repetitions": 51},
+            {"trials": 199},
+            {"mode": "sampled_m"},
+            {"estimator": "raw"},
+            {"rng": RngStream(90, 2)},
+        ],
+        ids=lambda changes: next(iter(changes)),
+    )
+    def test_one_differing_argument_misses(self, changes):
+        collect_sweep_records(self.PLAN)
+        args = self.request(1, 2, **changes)
+        phases = noon_phase_estimates(**args)
+        assert len(interferometry._phase_store) == 4
+        assert phases.tobytes() == self.fresh(args).tobytes()
+
+    @pytest.mark.parametrize(
+        "changes, match",
+        [
+            ({"n_atoms": True}, "n_atoms must be an integer"),
+            ({"n_atoms": 2.0}, "n_atoms must be an integer"),
+            ({"trials": 200.0}, "count must be an integer"),
+            ({"mode": "bogus"}, "bath mode must be one of"),
+        ],
+    )
+    def test_invalid_requests_still_raise(self, changes, match):
+        # the sweep keeps points n=1 and n=2 under int keys equal to True and 2.0
+        collect_sweep_records(self.PLAN)
+        j, n = (0, 1) if changes.get("n_atoms") is True else (1, 2)
+        with pytest.raises(ValueError, match=match):
+            noon_phase_estimates(**self.request(j, n, **changes))
+        assert len(interferometry._phase_store) == 4
+
+    def test_sn_sweep_keeps_nothing(self):
+        collect_sweep_records(SweepPlan("sn", (16, 32, 64, 128), 200, 91, bath=self.BATH))
+        assert not interferometry._phase_store
+
+    def test_point_above_limit_is_kept_nowhere(self):
+        collect_sweep_records(self.PLAN)
+        kept = dict(interferometry._phase_store)
+        big = SweepPlan("noon", (1, 2, 4, 8), 2**16 + 1, 92, bath=self.BATH, repetitions=200)
+        collect_sweep_records(big)
+        assert interferometry._phase_store == kept  # nothing added, nothing dropped
+
+    def test_oldest_points_dropped_beyond_limit(self, monkeypatch):
+        monkeypatch.setattr(interferometry, "_PHASE_LIMIT", 500)
+        collect_sweep_records(self.PLAN)  # four points of 200 phases; the last two fit
+        assert sum(map(len, interferometry._phase_store.values())) == 400
+        for j, n in enumerate(self.PLAN.n_values):
+            noon_phase_estimates(**self.request(j, n))
+            assert len(interferometry._phase_store) == (2 if j < 2 else 3 - j)
+
+    def test_concurrent_sweeps_and_requests(self, monkeypatch):
+        # more threads than cores, switching often, sharing keys (seed 93 twice)
+        # and overflowing a small limit, so that unlocked store updates would show
+        monkeypatch.setattr(interferometry, "_PHASE_LIMIT", 500)
+        seeds = (93, 94, 93)
+        results, errors = {}, []
+
+        def worker(name):
+            try:
+                for seed in seeds:
+                    plan = SweepPlan("noon", (1, 2, 4, 8), 200, seed, bath=self.BATH, repetitions=50)
+                    collect_sweep_records(plan)
+                    results[name, seed] = [noon_phase_estimates(**self.request(j, n, rng=RngStream(seed, j)))
+                                           for j, n in enumerate(plan.n_values)]
+            except Exception as exc:  # reported below, from the main thread
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(name,)) for name in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors and len(results) == 8
+        for (_, seed), phases in results.items():
+            for j, n in enumerate(self.PLAN.n_values):
+                assert phases[j].tobytes() == self.fresh(self.request(j, n, rng=RngStream(seed, j))).tobytes()
+        assert sum(map(len, interferometry._phase_store.values())) <= 500
+
+
+    def test_concurrent_offers_stay_within_limit(self, monkeypatch):
+        # a check-then-act race on the store would lose a size update or pop a
+        # point another thread just dropped
+        monkeypatch.setattr(interferometry, "_PHASE_LIMIT", 10)
+        errors = []
+
+        def worker(seed):
+            try:
+                for i in range(5000):
+                    phases = np.zeros(2 + i % 3)
+                    interferometry._offer_noon_phases(phases, *self.request(0, 2, rng=RngStream(seed, i)).values())
+            except Exception as exc:  # reported below, from the main thread
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert sum(map(len, interferometry._phase_store.values())) <= 10
 
 
 class TestOutcomeSampling:
