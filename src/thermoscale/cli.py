@@ -20,6 +20,7 @@ from typing import Optional, Sequence
 
 from . import oracle
 from .interferometry import BathSpec, dephasing_visibility, noon_outcome_probability
+from .rng import _at_least, _real
 from .sweep import (
     SweepAbortError,
     SweepConfigError,
@@ -134,10 +135,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_fig1(args: argparse.Namespace) -> int:
-    if args.points < 1:
-        raise SweepConfigError(f"--points must be at least 1, got {args.points}")
-    if args.beta_max < 0:
-        raise SweepConfigError(f"--beta-max must be nonnegative, got {args.beta_max}")
+    _at_least("--points", args.points)
+    _real("--beta-max", args.beta_max, positive=False)
     if args.points == 1:
         grid = [0.0]
     else:

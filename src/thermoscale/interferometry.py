@@ -67,7 +67,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .estimators import ESTIMATORS, check_mode
-from .rng import RngStream, _index
+from .rng import RngStream, _at_least, _real
 from .thermal import DegenerateSensitivityError, excitation_probability
 
 if TYPE_CHECKING:
@@ -101,18 +101,9 @@ class BathSpec:
     tau: float
 
     def __post_init__(self) -> None:
-        m_atoms = _index("m_atoms", self.m_atoms)
-        if m_atoms < 1:
-            raise ValueError(f"m_atoms must be a positive integer, got {m_atoms}")
-        object.__setattr__(self, "m_atoms", m_atoms)
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if not self.beta_true >= 0:
-            raise ValueError(f"beta_true must be nonnegative, got {self.beta_true}")
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if not self.tau > 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
+        object.__setattr__(self, "m_atoms", _at_least("m_atoms", self.m_atoms))
+        for name in ("epsilon", "beta_true", "alpha", "tau"):
+            _real(name, getattr(self, name), positive=name != "beta_true")
 
     @property
     def theta(self) -> float:
@@ -131,10 +122,8 @@ def require_phase_window(bath: BathSpec, n_atoms: int = 1) -> None:
     The fringe inversion needs ``n_atoms * theta * m`` inside ``[0, pi)`` for
     every possible excited count ``m <= m_atoms``.
     """
-    if _index("n_atoms", n_atoms) < 1:
-        raise ValueError(f"n_atoms must be at least 1, got {n_atoms}")
     limit = math.pi - PHASE_WINDOW_MARGIN
-    accumulated = n_atoms * bath.theta * bath.m_atoms
+    accumulated = _at_least("n_atoms", n_atoms) * bath.theta * bath.m_atoms
     if accumulated > limit:
         raise PhaseWindowError(
             f"phase window violated: n_atoms * theta * m_atoms = {accumulated:.6g} "
@@ -144,8 +133,7 @@ def require_phase_window(bath: BathSpec, n_atoms: int = 1) -> None:
 
 def max_theta(m_atoms: int, n_atoms: int = 1) -> float:
     """Largest coupling phase per excited atom allowed by the phase window."""
-    if _index("m_atoms", m_atoms) < 1 or _index("n_atoms", n_atoms) < 1:
-        raise ValueError("m_atoms and n_atoms must be at least 1")
+    m_atoms, n_atoms = _at_least("m_atoms", m_atoms), _at_least("n_atoms", n_atoms)
     limit = math.pi - PHASE_WINDOW_MARGIN
     theta = limit / (n_atoms * m_atoms)
     # the quotient can round one ulp high; test it in require_phase_window's order
@@ -173,9 +161,7 @@ def reference_phase(bath: BathSpec, n_atoms: int) -> float:
     invertible window ``[0, pi - 1e-3]``. It is a function of the
     configuration alone, and 0 when the window is full (or violated).
     """
-    if _index("n_atoms", n_atoms) < 1:
-        raise ValueError(f"n_atoms must be at least 1, got {n_atoms}")
-    slack = math.pi - PHASE_WINDOW_MARGIN - n_atoms * bath.theta * bath.m_atoms
+    slack = math.pi - PHASE_WINDOW_MARGIN - _at_least("n_atoms", n_atoms) * bath.theta * bath.m_atoms
     return max(0.0, slack / 2.0)
 
 
@@ -194,13 +180,11 @@ def _beta_from_phase(phi_b_hat: float, bath: BathSpec) -> float:
 def _request(bath, n_atoms, shots, trials, mode, rng, estimator) -> tuple:
     """The engine's arguments once checked, with the counts as ints: also the key
     under which a sweep keeps a noon point's phases for :func:`noon_phase_estimates`."""
-    n_atoms, shots = _index("n_atoms", n_atoms), _index("shots", shots)
+    n_atoms, shots = _at_least("n_atoms", n_atoms), _at_least("shots", shots)
     require_phase_window(bath, n_atoms)
-    if shots < 1:
-        raise ValueError(f"shots must be at least 1, got {shots}")
     check_mode("bath mode", mode, BATH_MODES)
     check_mode("estimator", estimator, ESTIMATORS)
-    return (bath, n_atoms, shots, _index("count", trials), mode, rng, estimator)
+    return (bath, n_atoms, shots, _at_least("count", trials, low=0), mode, rng, estimator)
 
 
 def run_interferometer_trials(
@@ -299,11 +283,7 @@ def noon_phase_estimates(
 
 def sigma_m_sn_theory(theta: float, n_shots: int) -> float:
     """Predicted spread of the inferred bath count: ``1 / (theta * sqrt(n_shots))``."""
-    if not theta > 0:
-        raise ValueError(f"theta must be positive, got {theta}")
-    if _index("n_shots", n_shots) < 1:
-        raise ValueError(f"n_shots must be at least 1, got {n_shots}")
-    return 1.0 / (theta * math.sqrt(n_shots))
+    return 1.0 / (_real("theta", theta) * math.sqrt(_at_least("n_shots", n_shots)))
 
 
 def _inverse_mean_slope(bath: BathSpec) -> float:
@@ -327,9 +307,7 @@ def sigma_beta_sn_theory(bath: BathSpec, n_shots: int) -> float:
 def sigma_beta_h_theory(bath: BathSpec, n_atoms: int) -> float:
     """Predicted beta spread of one entangled-probe shot: the same sensitivity
     quotient as the single-atom case with ``1/sqrt(N)`` replaced by ``1/N``."""
-    if _index("n_atoms", n_atoms) < 1:
-        raise ValueError(f"n_atoms must be at least 1, got {n_atoms}")
-    return (1.0 / (n_atoms * bath.theta)) * _inverse_mean_slope(bath)
+    return (1.0 / (_at_least("n_atoms", n_atoms) * bath.theta)) * _inverse_mean_slope(bath)
 
 
 def dephasing_visibility(bath: BathSpec, n_atoms: int) -> float:
@@ -339,9 +317,7 @@ def dephasing_visibility(bath: BathSpec, n_atoms: int) -> float:
     and the contrast is the magnitude of the binomial characteristic function:
     ``|1 - p + p * exp(1j * n_atoms * theta)| ** m_atoms``.
     """
-    if _index("n_atoms", n_atoms) < 1:
-        raise ValueError(f"n_atoms must be at least 1, got {n_atoms}")
-    p = bath.excitation
+    n_atoms, p = _at_least("n_atoms", n_atoms), bath.excitation
     phasor = (1.0 - p) + p * cmath.exp(1j * n_atoms * bath.theta)
     return abs(phasor) ** bath.m_atoms
 
@@ -363,12 +339,8 @@ def measure_fringe_visibility(
     """
     import numpy as np
 
-    n_atoms, shots = _index("n_atoms", n_atoms), _index("shots", shots)
-    if _index("phase_points", phase_points) < 3:
-        raise ValueError(f"phase_points must be at least 3, got {phase_points}")
-    shots_per_point = shots // phase_points
-    if shots_per_point < 1:
-        raise ValueError("need at least one shot per phase point")
+    n_atoms, phase_points = _at_least("n_atoms", n_atoms), _at_least("phase_points", phase_points, low=3)
+    shots_per_point = _at_least("shots", shots, low=phase_points) // phase_points
     p = bath.excitation
     coefficient = 0.0 + 0.0j
     for j in range(phase_points):

@@ -16,10 +16,15 @@ numpy inverts the CDF (``min(p, 1 - p) * n <= 30``), is drawn by numpy.
 
 numpy is imported by the methods that build a generator or draw, not by the
 module, so the closed forms and oracles run without it.
+
+The package checks its arguments with the private helpers here, each raising a
+ValueError that names the argument: ``_index`` (an integer, no bool), ``_at_least``
+(such an integer, at least a bound) and ``_real`` (a finite positive or nonnegative float).
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator
@@ -42,6 +47,25 @@ def _index(what: str, value) -> int:
         except TypeError:
             pass
     raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
+def _at_least(what: str, value, low: int = 1) -> int:
+    """``value`` through :func:`_index`, refused below ``low``."""
+    value = _index(what, value)
+    if value < low:
+        raise ValueError(f"{what} must be at least {low}, got {value}")
+    return value
+
+
+def _real(what: str, value, positive: bool = True) -> float:
+    """``value`` as a float if it is a finite real, positive (or only nonnegative); ValueError otherwise."""
+    try:
+        if math.isfinite(value) and (value > 0 if positive else value >= 0):
+            return float(value)
+    except (TypeError, OverflowError):
+        pass
+    sign = "positive" if positive else "nonnegative"
+    raise ValueError(f"{what} must be a {sign} finite real, got {value!r}")
 
 
 @dataclass(frozen=True)

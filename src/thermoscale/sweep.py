@@ -28,7 +28,7 @@ from .interferometry import (
     sigma_beta_h_theory,
     sigma_beta_sn_theory,
 )
-from .rng import _MAX_SEED, _SUBSTREAM_STRIDE, RngStream, _index
+from .rng import _SUBSTREAM_STRIDE, RngStream, _at_least, _real
 from .thermal import (
     DegenerateSensitivityError,
     TwoLevelSpec,
@@ -103,41 +103,35 @@ class SweepPlan:
         """Check every protocol invariant before any trial runs."""
         if self.protocol not in PROTOCOLS:
             raise SweepConfigError(f"unknown protocol {self.protocol!r}; expected one of {PROTOCOLS}")
-        values = tuple(_integer("each of n_values", n) for n in self.n_values)
+        values = tuple(_checked(_at_least, "each of n_values", n) for n in self.n_values)
         if len(values) < MIN_FIT_POINTS:
             raise SweepConfigError(
                 f"need at least {MIN_FIT_POINTS} sweep sizes for a fit, got {len(values)}"
             )
         if any(b <= a for a, b in zip(values, values[1:])):
             raise SweepConfigError(f"n_values must be strictly increasing, got {values}")
-        if values[0] < 1:
-            raise SweepConfigError("n_values must be positive")
-        if not 0 <= _integer("master_seed", self.master_seed) < _MAX_SEED:
-            raise SweepConfigError(f"master_seed must lie in [0, 2**64), got {self.master_seed}")
+        _checked(RngStream, self.master_seed)  # a 64-bit unsigned integer
         # one substream per trial, and a stream has 2**32 of them
-        if not 2 <= _integer("trials_per_n", self.trials_per_n) <= _SUBSTREAM_STRIDE:
+        if _checked(_at_least, "trials_per_n", self.trials_per_n, 2) > _SUBSTREAM_STRIDE:
             raise SweepConfigError(f"trials_per_n must lie in [2, 2**32], got {self.trials_per_n}")
         check_mode("estimator", self.estimator, ESTIMATORS, SweepConfigError)
         check_mode("bath_mode", self.bath_mode, BATH_MODES, SweepConfigError)
         if self.protocol == "thermalizing":
-            if self.beta_true is None or self.beta_true < 0:
-                raise SweepConfigError("thermalizing sweep needs a nonnegative beta_true")
-            if not self.epsilon > 0:
-                raise SweepConfigError(f"epsilon must be positive, got {self.epsilon}")
+            _checked(_real, "beta_true", self.beta_true, False)  # refuses None too
+            _checked(_real, "epsilon", self.epsilon)
         else:
             if self.bath is None:
                 raise SweepConfigError(f"{self.protocol} sweep needs a bath specification")
-            if self.protocol == "noon" and _integer("repetitions", self.repetitions) < 2:
-                raise SweepConfigError("noon sweep needs repetitions >= 2")
+            if self.protocol == "noon":
+                _checked(_at_least, "repetitions", self.repetitions, 2)
             # phase window must hold at the largest swept size
             require_phase_window(self.bath, max(values) if self.protocol == "noon" else 1)
 
 
-def _integer(name: str, value) -> int:
-    """``value`` as an int, if ``operator.index`` takes it and it is no bool;
-    SweepConfigError otherwise."""
+def _checked(check, *args):
+    """``check(*args)``, its ValueError raised as a SweepConfigError."""
     try:
-        return _index(name, value)
+        return check(*args)
     except ValueError as exc:
         raise SweepConfigError(str(exc)) from None
 
@@ -193,8 +187,7 @@ def fit_power_law(points: Sequence[tuple[int, float]]) -> ScalingFit:
 
     if len(points) < MIN_FIT_POINTS:
         raise ValueError(f"need at least {MIN_FIT_POINTS} points to fit, got {len(points)}")
-    if any(n <= 0 or s <= 0 for n, s in points):
-        raise ValueError("all points must have positive n and sigma")
+    points = [(_at_least("each n", n), _real("each sigma", s)) for n, s in points]
     log_n = [math.log(n) for n, _ in points]
     log_s = [math.log(s) for _, s in points]
     # ordinary least squares; the slope error uses the correlation clipped to [-1, 1]
@@ -217,7 +210,7 @@ def fit_power_law(points: Sequence[tuple[int, float]]) -> ScalingFit:
         intercept=intercept,
         stderr_slope=stderr_slope,
         r_squared=r_squared,
-        points=tuple((int(n), float(s)) for n, s in points),
+        points=tuple(points),
     )
 
 
@@ -241,8 +234,7 @@ def matched_thermometer_size(m_atoms: int, regime: str) -> int:
     A shot-noise-limited thermometer must match the bath atom for atom; an
     entangled (1/N) thermometer only needs the square root of the bath size.
     """
-    if m_atoms < 1:
-        raise ValueError(f"m_atoms must be at least 1, got {m_atoms}")
+    m_atoms = _at_least("m_atoms", m_atoms)
     if regime == "shot_noise":
         return m_atoms
     if regime == "heisenberg":
@@ -352,21 +344,32 @@ def emit_results(
         raise OSError(f"cannot write results to {destination!r}: {exc}") from exc
 
 
+def _refuse_constant(token: str):
+    raise ValueError(f"{token} is not a finite number; result files hold finite numbers only")
+
+
 def read_jsonl_results(path: str) -> tuple[list[SweepRecord], Optional[ScalingFit]]:
-    """Parse a JSONL results file back into records and the fit, if present."""
+    """Parse a JSONL results file back into records and the fit, if present.
+
+    What :func:`write_results` never writes (a ``NaN`` or ``Infinity`` token, a
+    missing field, malformed JSON) raises a ValueError naming ``path:line``."""
     records: list[SweepRecord] = []
     fit = None
     with open(path) as handle:
-        for line in handle:
+        for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
                 continue
-            obj = json.loads(line)
-            if "fit" in obj:
-                fit = ScalingFit(
-                    *(obj["fit"][name] for name in _FIT_FIELDS),
-                    points=tuple((r.n, r.sigma_beta_empirical) for r in records),
-                )
-            else:
-                records.append(SweepRecord(*(obj[name] for name in _RECORD_FIELDS)))
+            try:
+                obj = json.loads(line, parse_constant=_refuse_constant)
+                if "fit" in obj:
+                    fit = ScalingFit(
+                        *(obj["fit"][name] for name in _FIT_FIELDS),
+                        points=tuple((r.n, r.sigma_beta_empirical) for r in records),
+                    )
+                else:
+                    records.append(SweepRecord(*(obj[name] for name in _RECORD_FIELDS)))
+            except (KeyError, ValueError) as exc:
+                reason = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+                raise ValueError(f"{path}:{lineno}: {reason}") from None
     return records, fit

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .rng import _index
+from .rng import _at_least, _real
 
 
 class DegenerateSensitivityError(ValueError):
@@ -39,12 +39,8 @@ class TwoLevelSpec:
     epsilon: float
 
     def __post_init__(self) -> None:
-        n_atoms = _index("n_atoms", self.n_atoms)
-        if n_atoms < 1:
-            raise ValueError(f"n_atoms must be a positive integer, got {n_atoms}")
-        object.__setattr__(self, "n_atoms", n_atoms)
-        if not (self.epsilon > 0 and math.isfinite(self.epsilon)):
-            raise ValueError(f"epsilon must be a positive finite real, got {self.epsilon}")
+        object.__setattr__(self, "n_atoms", _at_least("n_atoms", self.n_atoms))
+        _real("epsilon", self.epsilon)
 
 
 @dataclass(frozen=True)
@@ -65,12 +61,6 @@ class ThermalSummary:
     fisher_info: float
 
 
-def _check_beta(beta: float) -> float:
-    if not (beta >= 0 and math.isfinite(beta)):
-        raise ValueError(f"beta must be a nonnegative finite real, got {beta}")
-    return float(beta)
-
-
 def _logistic_tail(x: float) -> float:
     """``1 / (1 + exp(x))`` for ``x >= 0``, underflowing to 0 where ``exp(x)`` overflows."""
     try:
@@ -86,16 +76,15 @@ def excitation_probability(epsilon: float, beta: float) -> float:
     freezes out. Evaluated through the logistic function, which is stable for
     any nonnegative ``beta * epsilon``.
     """
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    _check_beta(beta)
+    if not 0 < epsilon < math.inf:  # inline, not _real: this runs once per trial
+        raise ValueError(f"epsilon must be a positive finite real, got {epsilon}")
+    _real("beta", beta, positive=False)
     return _logistic_tail(beta * epsilon)
 
 
 def thermal_summary(spec: TwoLevelSpec, beta: float) -> ThermalSummary:
     """All closed-form thermal statistics of ``spec`` at inverse temperature ``beta``."""
-    beta = _check_beta(beta)
-    x = beta * spec.epsilon
+    x = _real("beta", beta, positive=False) * spec.epsilon
     p = _logistic_tail(x)
     # log of the one-atom partition sum, 1 + exp(-x); exp(-x) <= 1 so this never overflows
     log_z = spec.n_atoms * math.log1p(math.exp(-x))
@@ -133,8 +122,8 @@ def invert_mean_fraction(p_hat: float, epsilon: float) -> float:
     :func:`excitation_probability`. Negative values are possible when
     ``p_hat > 1/2``; clamping is the caller's policy decision.
     """
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if not 0 < epsilon < math.inf:  # inline, not _real: this runs once per trial
+        raise ValueError(f"epsilon must be a positive finite real, got {epsilon}")
     if p_hat <= 0.0 or p_hat >= 1.0:
         raise UnboundedEstimateError(
             f"fraction {p_hat} lies on or outside (0, 1); beta estimate is unbounded"
@@ -144,19 +133,11 @@ def invert_mean_fraction(p_hat: float, epsilon: float) -> float:
 
 def cr_bound_sigma(fisher_info: float, repetitions: int = 1) -> float:
     """Cramér-Rao floor ``1 / sqrt(repetitions * fisher_info)`` on an estimator spread."""
-    if fisher_info == 0.0:
+    if _real("fisher_info", fisher_info, positive=False) == 0.0:
         raise DegenerateSensitivityError("fisher_info is zero; the bound is unbounded")
-    if fisher_info < 0:
-        raise ValueError(f"fisher_info must be nonnegative, got {fisher_info}")
-    if repetitions < 1:
-        raise ValueError(f"repetitions must be at least 1, got {repetitions}")
-    return 1.0 / math.sqrt(repetitions * fisher_info)
+    return 1.0 / math.sqrt(_at_least("repetitions", repetitions) * fisher_info)
 
 
 def doppler_precision(atom_rate: float, integration_time: float) -> float:
     """Shot-noise precision ``(atom_rate * integration_time) ** -0.5`` of a beam measurement."""
-    if not atom_rate > 0:
-        raise ValueError(f"atom_rate must be positive, got {atom_rate}")
-    if not integration_time > 0:
-        raise ValueError(f"integration_time must be positive, got {integration_time}")
-    return 1.0 / math.sqrt(atom_rate * integration_time)
+    return 1.0 / math.sqrt(_real("atom_rate", atom_rate) * _real("integration_time", integration_time))

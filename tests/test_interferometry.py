@@ -26,7 +26,7 @@ from thermoscale.interferometry import (
 )
 from thermoscale.oracle import noon_probs_exact
 from thermoscale.rng import RngStream
-from thermoscale.sweep import SweepAbortError, SweepPlan, collect_sweep_records
+from thermoscale.sweep import SweepAbortError, SweepPlan, collect_sweep_records, matched_thermometer_size
 
 LN3 = math.log(3.0)
 
@@ -164,29 +164,45 @@ class TestIntegerInputs:
                 make_bath(m_atoms=m_atoms)
         assert type(make_bath(m_atoms=np.int64(100)).m_atoms) is int
 
+    CLOSED_FORM_CASES = [
+        # a fractional atom number would give a visibility above 1 (1.012 here)
+        (lambda bath: measure_fringe_visibility(bath, 1.5, 1000, 10, RngStream(1)), "must be an integer"),
+        (lambda bath: measure_fringe_visibility(bath, True, 1000, 10, RngStream(1)), "must be an integer"),
+        (lambda bath: measure_fringe_visibility(bath, 1, 1000.5, 10, RngStream(1)), "must be an integer"),
+        (lambda bath: measure_fringe_visibility(bath, 1, 1000, 10.5, RngStream(1)), "must be an integer"),
+        (lambda bath: dephasing_visibility(bath, 1.5), "must be an integer"),
+        (lambda bath: dephasing_visibility(bath, True), "must be an integer"),
+        (lambda bath: max_theta(100.5, 1), "must be an integer"),
+        (lambda bath: max_theta(100, 1.5), "must be an integer"),
+        (lambda bath: max_theta(True, 2), "must be an integer"),
+        (lambda bath: reference_phase(bath, 1.5), "must be an integer"),
+        (lambda bath: require_phase_window(bath, True), "must be an integer"),
+        (lambda bath: require_phase_window(bath, 2.0), "must be an integer"),
+        (lambda bath: sigma_beta_h_theory(bath, 2.5), "must be an integer"),
+        (lambda bath: sigma_m_sn_theory(0.1, 10.5), "must be an integer"),
+        (lambda bath: sigma_m_sn_theory(0.1, True), "must be an integer"),
+        # an atom number below 1 would give a visibility (0.964 and 0.989 here)
+        (lambda bath: measure_fringe_visibility(bath, 0, 1000, 10, RngStream(1)), "n_atoms must be at least 1"),
+        (lambda bath: measure_fringe_visibility(bath, -2, 1000, 10, RngStream(1)), "n_atoms must be at least 1"),
+        # an infinite real would be accepted, or give a spread of 0.0
+        (lambda bath: BathSpec(100, math.inf, 1.0, 0.01, 1.0), "epsilon must be a positive finite real"),
+        (lambda bath: BathSpec(100, 1.0, math.inf, 0.01, 1.0), "beta_true must be a nonnegative finite real"),
+        (lambda bath: BathSpec(100, 1.0, 1.0, math.inf, 1.0), "alpha must be a positive finite real"),
+        (lambda bath: BathSpec(100, 1.0, 1.0, 0.01, math.inf), "tau must be a positive finite real"),
+        (lambda bath: sigma_m_sn_theory(math.inf, 3), "theta must be a positive finite real"),
+        # a fractional bath size would raise TypeError, and True be returned as a size
+        (lambda bath: matched_thermometer_size(2.5, "heisenberg"), "m_atoms must be an integer"),
+        (lambda bath: matched_thermometer_size(True, "shot_noise"), "m_atoms must be an integer"),
+    ]
+
     @pytest.mark.parametrize(
-        "call",
-        [
-            # a fractional atom number would give a visibility above 1 (1.012 here)
-            lambda bath: measure_fringe_visibility(bath, 1.5, 1000, 10, RngStream(1)),
-            lambda bath: measure_fringe_visibility(bath, True, 1000, 10, RngStream(1)),
-            lambda bath: measure_fringe_visibility(bath, 1, 1000.5, 10, RngStream(1)),
-            lambda bath: measure_fringe_visibility(bath, 1, 1000, 10.5, RngStream(1)),
-            lambda bath: dephasing_visibility(bath, 1.5),
-            lambda bath: dephasing_visibility(bath, True),
-            lambda bath: max_theta(100.5, 1),
-            lambda bath: max_theta(100, 1.5),
-            lambda bath: max_theta(True, 2),
-            lambda bath: reference_phase(bath, 1.5),
-            lambda bath: require_phase_window(bath, True),
-            lambda bath: require_phase_window(bath, 2.0),
-            lambda bath: sigma_beta_h_theory(bath, 2.5),
-            lambda bath: sigma_m_sn_theory(0.1, 10.5),
-            lambda bath: sigma_m_sn_theory(0.1, True),
-        ],
+        "call, match",
+        CLOSED_FORM_CASES,
+        # ids that ignore the match column, so the integer cases keep their names
+        ids=[f"<lambda>{i}" for i in range(len(CLOSED_FORM_CASES))],
     )
-    def test_closed_forms_refuse_non_integer_counts(self, call):
-        with pytest.raises(ValueError, match="must be an integer"):
+    def test_closed_forms_refuse_non_integer_counts(self, call, match):
+        with pytest.raises(ValueError, match=match):
             call(BathSpec(100, 1.0, 1.0, math.pi / 200, 1.0))
 
 

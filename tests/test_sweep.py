@@ -42,6 +42,10 @@ class TestFitPowerLaw:
     def test_rejects_nonpositive_values(self):
         with pytest.raises(ValueError):
             fit_power_law([(1, 1.0), (2, 0.5), (4, 0.25), (8, -0.1)])
+        # a NaN or infinite spread would give an all-NaN fit, and a fractional size be truncated
+        for n, sigma, match in ((8, math.nan, "sigma"), (8, math.inf, "sigma"), (8.5, 0.1, "each n")):
+            with pytest.raises(ValueError, match=match):
+                fit_power_law([(1, 1.0), (2, 0.5), (4, 0.25), (n, sigma)])
 
     def test_points_are_preserved(self):
         points = [(2, 1.0), (4, 0.5), (8, 0.25), (16, 0.125)]
@@ -106,6 +110,16 @@ class TestPlanValidation:
         sizes = tuple(np.int64(n) for n in (1, 2, 4, 8))
         seed = np.uint64(2**64 - 1)
         SweepPlan("noon", sizes, np.int64(10), seed, bath=bath, repetitions=np.int64(8)).validate()
+
+    @pytest.mark.parametrize(
+        "changes",
+        [{"beta_true": math.nan}, {"beta_true": math.inf}, {"epsilon": math.inf}],
+        ids=["beta_true=nan", "beta_true=inf", "epsilon=inf"],
+    )
+    def test_non_finite_reals_are_refused(self, changes):
+        plan = SweepPlan("thermalizing", (16, 32, 64, 128), 10, 0, **{"beta_true": 1.0, **changes})
+        with pytest.raises(SweepConfigError, match="must be a .* finite real"):
+            plan.validate()
 
     def test_phase_window_checked_at_largest_size(self):
         bath = BathSpec(100, 1.0, 1.0, max_theta(100, 8), 1.0)
@@ -355,6 +369,26 @@ class TestResultFiles:
         parsed_records, parsed_fit = read_jsonl_results(str(path))
         assert parsed_records == records
         assert parsed_fit == fit
+
+    VALID_LINE = '{"n": 2, "sigma_beta_empirical": 0.5, "sigma_beta_theory": 0.5, "invalid_fraction": 0.0, "trials": 10}'
+
+    @pytest.mark.parametrize(
+        "line, match",
+        [
+            (VALID_LINE.replace("0.5,", "NaN,", 1), "NaN is not a finite number"),
+            (VALID_LINE.replace("0.5,", "Infinity,", 1), "Infinity is not a finite number"),
+            (VALID_LINE.replace("0.5,", "-Infinity,", 1), "-Infinity is not a finite number"),
+            (VALID_LINE.replace('"trials": 10', '"trails": 10'), "missing field 'trials'"),
+            ('{"fit": {"slope": -0.5, "intercept": 0.0, "stderr_slope": 0.0}}', "missing field 'r_squared'"),
+        ],
+        ids=["nan", "inf", "-inf", "record-field", "fit-field"],
+    )
+    def test_jsonl_reader_refuses_what_the_writer_never_writes(self, tmp_path, line, match):
+        # write_results never writes these, so a file holding them is not a result file
+        path = tmp_path / "bad.jsonl"
+        path.write_text(self.VALID_LINE + "\n" + line + "\n")
+        with pytest.raises(ValueError, match=f"bad.jsonl:2: {match}"):
+            read_jsonl_results(str(path))
 
     def test_unwritable_destination(self):
         with pytest.raises(OSError) as info:

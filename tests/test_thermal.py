@@ -115,6 +115,19 @@ class TestThermalSummary:
             TwoLevelSpec(3, -1.0)
         with pytest.raises(ValueError):
             thermal_summary(TwoLevelSpec(1, 1.0), -0.5)
+        # each of these would return a number (nan, 0.0 or a bound) instead of raising
+        for call, match in (
+            (lambda: cr_bound_sigma(4.0, 2.5), "repetitions must be an integer"),
+            (lambda: cr_bound_sigma(4.0, True), "repetitions must be an integer"),
+            (lambda: cr_bound_sigma(math.nan), "fisher_info must be a nonnegative finite real"),
+            (lambda: cr_bound_sigma(math.inf), "fisher_info must be a nonnegative finite real"),
+            (lambda: doppler_precision(math.inf, 1.0), "atom_rate must be a positive finite real"),
+            (lambda: doppler_precision(1.0, math.inf), "integration_time must be a positive finite real"),
+            (lambda: excitation_probability(math.inf, 0.0), "epsilon must be a positive finite real"),
+            (lambda: invert_mean_fraction(0.3, math.inf), "epsilon must be a positive finite real"),
+        ):
+            with pytest.raises(ValueError, match=match):
+                call()
 
     def test_spec_atom_count_is_an_integer(self):
         # a bool is an int subclass, but no atom count
