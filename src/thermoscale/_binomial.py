@@ -1,20 +1,20 @@
 """numpy's binomial sampler as array code over the first Philox block of each substream.
 
-:meth:`thermoscale.rng.RngStream.binomials` calls :func:`first_block_binomials`,
-which computes the first Philox4x64-10 block of every substream (Salmon et
-al., "Parallel random numbers: as easy as 1, 2, 3", SC'11) and runs numpy's
-BTPE sampler (Kachitvichyanukul & Schmeiser, CACM 31(2), 1988) on its four
-doubles, two iterations with numpy's operations in numpy's order. It returns
-which trials those do not finish, and the caller redraws them with numpy.
+:meth:`thermoscale.rng.RngStream.binomials`, and the draw behind it that takes all
+fixed-bath points of a sweep at once, call :func:`first_block_binomials`. It computes
+the first Philox4x64-10 block of every substream of every point in one array pass, as
+they share one key (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11),
+and runs numpy's BTPE sampler (Kachitvichyanukul & Schmeiser, CACM 31(2), 1988) on its
+four doubles with each point's ``n`` and ``p``, two iterations with numpy's operations in
+numpy's order. It returns which trials those do not finish; the caller redraws them.
 
-Every trial is handed back to numpy in two cases. Where numpy inverts the
-CDF instead, ``min(p, 1 - p) * n <= 30``: no benchmark workload draws there
+Every trial of a point goes back to numpy where numpy inverts the CDF
+instead, ``min(p, 1 - p) * n <= 30``: no benchmark workload draws there
 (noon-sweep's fixed-bath batches all have 200 shots and p near 1/2), so a
-kernel for it would be untimed code. And where the installed numpy is not
-2.4, the version whose sampler this module mirrors and the golden digests of
-the test suite pin: numpy does not promise that a Generator's stream stays
-the same from version to version. ``tests/test_rng.py`` compares the counts
-with numpy's draw for draw.
+kernel for it would be untimed code. So does every trial unless numpy is 2.4,
+whose sampler this module mirrors and the golden digests of the test suite
+pin: numpy does not promise that a Generator's stream stays the same from
+version to version. ``tests/test_rng.py`` compares the counts with numpy's.
 
 The module imports numpy, and :mod:`thermoscale.rng` imports it only when
 a batch is drawn, so ``import thermoscale`` neither loads numpy nor compiles
@@ -40,55 +40,53 @@ _PHILOX_ROUNDS = 10
 MIRRORS_NUMPY = np.__version__.split(".")[:2] == ["2", "4"]
 
 
-def first_block_binomials(
-    key: int, base: int, count: int, n: int, p: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """numpy's ``Generator.binomial(n, p)`` on substreams ``base .. base+count-1`` of Philox key ``key``.
+def first_block_binomials(key: int, count: int, groups: list) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's ``Generator.binomial(n, p)`` on substreams ``base .. base+count-1`` of Philox
+    key ``key``, row g for the g-th ``(base, n, p)`` of ``groups``.
 
     Returns the int64 counts and a mask of the trials that need more than the
-    first block, every trial in the inversion regime or unless
+    first block, every trial of a group in the inversion regime or unless
     :data:`MIRRORS_NUMPY`; their counts are not numpy's, and the caller
     redraws them. ``n`` must lie in ``[0, 2**63)`` and ``p`` in ``[0, 1]``.
     """
+    counts, redraw = np.zeros((len(groups), count), dtype=np.int64), np.ones((len(groups), count), dtype=bool)
     # numpy samples the smaller of p and 1 - p and reflects the count
-    r = p if p <= 0.5 else 1.0 - p
-    if count == 0 or r * n <= 30.0 or not MIRRORS_NUMPY:
-        return np.zeros(count, dtype=np.int64), np.ones(count, dtype=bool)
-    counts, redraw = _btpe_twice(_philox_first_doubles(key, base, count), n, r)
-    return (n - counts if p > 0.5 else counts), redraw
+    btpe = [(g, base, n, r) for g, (base, n, p) in enumerate(groups) if (r := min(p, 1.0 - p)) * n > 30.0]
+    if count and btpe and MIRRORS_NUMPY:
+        rows, bases, ns, rs = zip(*btpe)
+        drawn, redraw[list(rows)] = _btpe_twice(_philox_first_doubles(key, bases, count), ns, rs)
+        for row, n, first in zip(rows, ns, drawn):
+            counts[row] = n - first if groups[row][2] > 0.5 else first
+    return counts, redraw
 
 
-def _philox_first_doubles(key: int, base: int, count: int) -> np.ndarray:
-    """The first four doubles of numpy's Philox on substreams ``base .. base+count-1``, shape (4, count).
+def _philox_first_doubles(key: int, bases: tuple[int, ...], count: int) -> np.ndarray:
+    """The first four doubles of numpy's Philox on substreams ``base .. base+count-1`` of each
+    base, shape (2, 2, len(bases), count): doubles 0 and 2 of each block, then 1 and 3.
 
     A substream starts at counter ``(0, 0, index)``, with the index in words 2
     and 3, and numpy increments the counter before its first block. Each
-    round multiplies words 0 and 2, so they travel as one (2, count) array
-    and words 1 and 3 as another; the high words of the 128-bit products are
-    assembled from 32-bit halves. A double is the top 53 bits of an output
-    word times 2**-53.
+    round multiplies words 0 and 2, so they travel as one array and words 1
+    and 3 as another; the high words of the 128-bit products are assembled
+    from 32-bit halves. A double is the top 53 bits of an output word times 2**-53.
     """
     half, shift = np.uint64(_HALF_MASK), np.uint64(32)
     multipliers = np.array(_PHILOX_M, dtype=np.uint64)[:, None]
     m_lo, m_hi = multipliers & half, multipliers >> shift
     # round i uses the key bumped i times by the Weyl increments
     words = (key & _WORD_MASK, key >> 64)
-    round_keys = np.array(
-        [[(k + i * w) & _WORD_MASK for k, w in zip(words, _PHILOX_W)] for i in range(_PHILOX_ROUNDS)],
-        dtype=np.uint64,
-    )[:, :, None]
-    first = np.uint64(base & _WORD_MASK)
-    low = first + np.arange(count, dtype=np.uint64)  # wraps where the index carries into word 3
-    even = np.stack([np.ones(count, dtype=np.uint64), low])
-    odd = np.stack([np.zeros(count, dtype=np.uint64), np.uint64(base >> 64) + (low < first)])
-    for round_key in round_keys:
+    round_keys = [[(k + i * w) & _WORD_MASK for k, w in zip(words, _PHILOX_W)] for i in range(_PHILOX_ROUNDS)]
+    first, high = np.array([(base & _WORD_MASK, base >> 64) for base in bases], dtype=np.uint64).T[:, :, None]
+    low = first + np.arange(count, dtype=np.uint64)  # wraps where an index carries into word 3
+    even = np.stack([np.ones(low.size, dtype=np.uint64), low.ravel()])
+    odd = np.stack([np.zeros(low.size, dtype=np.uint64), (high + (low < first)).ravel()])
+    for round_key in np.array(round_keys, dtype=np.uint64)[:, :, None]:
         x_lo, x_hi = even & half, even >> shift
         low_cross = m_hi * x_lo + ((m_lo * x_lo) >> shift)
         high_cross = m_lo * x_hi + (low_cross & half)
         high = m_hi * x_hi + (low_cross >> shift) + (high_cross >> shift)
         even, odd = high[::-1] ^ odd ^ round_key, (even * multipliers)[::-1]
-    block = np.empty((4, count), dtype=np.uint64)
-    block[0::2], block[1::2] = even, odd
+    block = np.stack([even, odd]).reshape(2, 2, len(bases), count)
     return (block >> np.uint64(11)) * (1.0 / 9007199254740992.0)
 
 
@@ -99,40 +97,46 @@ def _log(x: np.ndarray) -> np.ndarray:
     return np.fromiter(logs, dtype=np.float64, count=x.size)
 
 
-def _btpe_twice(uniforms: np.ndarray, n: int, r: float) -> tuple[np.ndarray, np.ndarray]:
-    """numpy's BTPE sampler for ``r <= 1/2`` and ``r * n > 30``, two iterations per trial.
+def _btpe_twice(doubles: np.ndarray, ns: tuple, rs: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's BTPE sampler for ``r <= 1/2`` and ``r * n > 30``, two iterations per trial, on
+    group g of :func:`_philox_first_doubles` with ``(ns[g], rs[g])``.
 
     Iteration 1 reads doubles 0 and 1 of each block and iteration 2 doubles 2
     and 3. Neither depends on the other, so both run for every trial in one
     pass, and a trial takes the first that accepts. Returns the counts and a
-    mask of the trials neither iteration accepted. The set-up and every step
-    follow numpy's ``random_binomial_btpe`` operation for operation; the step
-    numbers are the paper's.
+    mask of the trials neither iteration accepted. Each group's set-up is in Python
+    floats, used as (G, 1) columns; it and every step follow numpy's
+    ``random_binomial_btpe`` operation for operation; the step numbers are the paper's.
 
     Each step is evaluated on every proposal and selected by mask, so the
     only arrays whose size varies from call to call hold 8-byte items: numpy
     keeps up to seven freed buffers of each size below 1 KiB for reuse, and
     boolean subsets of every size would fill that cache.
     """
-    q = 1.0 - r
-    fm = n * r + r
-    m = math.floor(fm)
-    p1 = math.floor(2.195 * math.sqrt(n * r * q) - 4.6 * q) + 0.5
-    xm = m + 0.5
-    xl, xr = xm - p1, xm + p1
-    c = 0.134 + 20.5 / (15.3 + m)
-    a = (fm - xl) / (fm - xl * r)
-    laml = a * (1.0 + a / 2.0)
-    a = (xr - fm) / (xr * q)
-    lamr = a * (1.0 + a / 2.0)
-    p2 = p1 * (1.0 + 2.0 * c)
-    p3 = p2 + c / laml
-    p4 = p3 + c / lamr
-    nrq = n * r * q
+    setups, consts = [], []
+    for n, r in zip(ns, rs):
+        q = 1.0 - r
+        fm = n * r + r
+        m = math.floor(fm)
+        p1 = math.floor(2.195 * math.sqrt(n * r * q) - 4.6 * q) + 0.5
+        xm = m + 0.5
+        xl, xr = xm - p1, xm + p1
+        c = 0.134 + 20.5 / (15.3 + m)
+        a = (fm - xl) / (fm - xl * r)
+        laml = a * (1.0 + a / 2.0)
+        a = (xr - fm) / (xr * q)
+        lamr = a * (1.0 + a / 2.0)
+        p2 = p1 * (1.0 + 2.0 * c)
+        p3 = p2 + c / laml
+        p4 = p3 + c / lamr
+        setups.append((p1, xm, xl, xr, c, laml, lamr, p2, p3, p4, n * r * q))
+        consts.append((n, m, r, q, xm))
+    p1, xm, xl, xr, c, laml, lamr, p2, p3, p4, nrq = np.array(setups).T[:, :, None]
+    n, m = np.array([group[:2] for group in consts], dtype=np.int64).T[:, :, None]
 
-    u, v = (uniforms[0::2] * p4).ravel(), uniforms[1::2].ravel()
+    u, v = doubles[0] * p4, doubles[1]
     # Step 10: u picks the triangle (accepted outright), the parallelogram or a tail
-    region = np.searchsorted(np.array([p1, p2, p3]), u)
+    region = (u > p1).astype(np.int64) + (u > p2) + (u > p3)
     # Step 20: the parallelogram rescales v and rejects v > 1
     x = xl + (u - p1) / c
     w = v * c + 1.0 - np.abs(m - x + 0.5) / p1
@@ -142,8 +146,8 @@ def _btpe_twice(uniforms: np.ndarray, n: int, r: float) -> tuple[np.ndarray, np.
     # Steps 30 and 40: the exponential tails reject v == 0 and a count outside [0, n]
     left, right = region == 2, region == 3
     logs = np.flatnonzero((region >= 2) & (v != 0.0))
-    log_v = np.zeros(u.size)
-    log_v[logs] = _log(v[logs])
+    log_v = np.zeros(u.shape)  # contiguous, like u and v, so ravel() gives views
+    log_v.ravel()[logs] = _log(v.ravel()[logs])
     tail_y = np.floor(np.where(left, xl + log_v / laml, xr - log_v / lamr))
     y = np.where(left | right, tail_y, y).astype(np.int64)
     w = np.where(left, v * (u - p2) * laml, np.where(right, v * (u - p3) * lamr, w))
@@ -153,19 +157,22 @@ def _btpe_twice(uniforms: np.ndarray, n: int, r: float) -> tuple[np.ndarray, np.
     candidate = (region > 0) & ~rejected
     k = np.abs(y - m)
     squeeze = (k > 20) & (k < nrq / 2.0 - 1)
-    s = r / q
-    ratio = _pmf_ratios(np.where(candidate & ~squeeze, y, m), m, s * (n + 1), s)
+    ys, ratio = np.where(candidate & ~squeeze, y, m), np.empty(u.shape)
+    for g, (n_g, m_g, r_g, q_g, _) in enumerate(consts):
+        ratio[:, g] = _pmf_ratios(ys[:, g], m_g, r_g / q_g * (n_g + 1), r_g / q_g)
     rho = (k / nrq) * ((k * (k / 3.0 + 0.625) + 0.16666666666666666) / nrq + 0.5)
     t = -k * k / (2 * nrq)
     logs = np.flatnonzero(candidate & squeeze)
     log_v[:] = 0.0
-    log_v[logs] = _log(w[logs])
+    log_v.ravel()[logs] = _log(w.ravel()[logs])
     sure = log_v < t - rho
-    unsure = np.flatnonzero(candidate & squeeze & ~sure & ~(log_v > t + rho)).tolist()
-    for i, big_a, y_i in zip(unsure, log_v[unsure].tolist(), y[unsure].tolist()):
-        sure[i] = not _stirling_rejects(big_a, y_i, n, m, r, q, xm)
+    unsure = np.flatnonzero(candidate & squeeze & ~sure & ~(log_v > t + rho))
+    rows = (unsure // u.shape[2] % u.shape[1]).tolist()  # the group of each
+    sure.ravel()[unsure] = [
+        not _stirling_rejects(big_a, y_i, *consts[g])
+        for g, big_a, y_i in zip(rows, log_v.ravel()[unsure].tolist(), y.ravel()[unsure].tolist())
+    ]
     accepted = (region == 0) | candidate & np.where(squeeze, sure, ~(w > ratio))
-    y, accepted = y.reshape(2, -1), accepted.reshape(2, -1)
     return np.where(accepted[0], y[0], y[1]), ~(accepted[0] | accepted[1])
 
 
@@ -181,7 +188,7 @@ def _pmf_ratios(ys: np.ndarray, m: int, a: float, s: float) -> np.ndarray:
     table = np.ones(hi - lo + 1)
     table[m - lo + 1 :] = np.multiply.accumulate(factors[m - lo :])
     # offsets y - lo of the distinct counts below m
-    below = np.flatnonzero(np.bincount(ys - lo, minlength=m - lo)[: m - lo]).tolist()
+    below = np.flatnonzero(np.bincount((ys - lo).ravel(), minlength=m - lo)[: m - lo]).tolist()
     if below:
         # one row per count: 1, then 1 for each i <= y (dividing by 1 is exact), then the divisors
         steps = np.ones((len(below), m - lo + 1))

@@ -14,13 +14,14 @@ statistics:
 
 One engine, :func:`run_interferometer_trials`, runs both: the single-atom
 protocol is the entangled one with one atom and one shot per probe. With a
-fixed bath the port probability is the same for every trial, so all port
-counts come from one array draw, :meth:`~thermoscale.rng.RngStream.binomials`,
-which equals numpy's binomial on each trial's substream bit for bit. With a
-sampled bath each trial still positions its stream and draws ``m`` and then
-the port count in a Python loop: ``perfbench/selftest.py`` requires one
-stream step per trial on that workload. The phase and beta estimates are
-computed once per distinct port count and gathered into per-trial float64 arrays.
+fixed bath the port probability is the same for every trial of a point, so
+all port counts come from one array draw, :meth:`~thermoscale.rng.RngStream.binomials`,
+bit for bit numpy's binomial on each trial's substream; a sweep draws all its
+fixed-bath points at once. With a sampled bath each trial still positions its
+stream and draws ``m`` and then the port count in a Python loop:
+``perfbench/selftest.py`` requires one stream step per trial on that workload.
+The phase and beta estimates are computed once per distinct port count and
+gathered into per-trial float64 arrays.
 
 A sweep hands each ``noon`` point's phases to the next identical request of
 :func:`noon_phase_estimates`, bit for bit a fresh simulation (trial t is a function of
@@ -64,7 +65,7 @@ import cmath
 import math
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 from .estimators import ESTIMATORS, check_mode
 from .rng import RngStream, _at_least, _real
@@ -221,29 +222,37 @@ def run_interferometer_trials(
     a sampled bath loops over the substreams. Both estimates are then computed
     once per distinct port count, as the inversion depends on the count alone.
     """
+    _, n_atoms, shots, trials, *_ = _request(bath, n_atoms, shots, trials, mode, rng, estimator)
+    return next(_run_points(bath, [(n_atoms, shots, rng)], trials, mode, estimator))
+
+
+def _run_points(bath: BathSpec, points: list, trials: int, mode: str, estimator: str) -> Iterator[tuple]:
+    """Yield :func:`run_interferometer_trials` of each checked ``(n_atoms, shots, stream)`` of ``points``
+    (one master seed); a fixed bath draws all their counts in one call, a sampled bath each as it is taken."""
     import numpy as np
 
-    _, n_atoms, shots, trials, *_ = _request(bath, n_atoms, shots, trials, mode, rng, estimator)
-    raw = estimator == "raw"
-    delta = reference_phase(bath, n_atoms)
-    offset = delta / n_atoms
-    theta, m_atoms = bath.theta, bath.m_atoms
+    raw, theta, m_atoms = estimator == "raw", bath.theta, bath.m_atoms
+    deltas = [reference_phase(bath, n_atoms) for n_atoms, _, _ in points]
     if mode == "fixed_m":
-        port = noon_outcome_probability(n_atoms, theta * round(m_atoms * bath.excitation) + offset)
-        counts = rng.binomials(trials, shots, port)
-    else:
-        draws = []
-        for gen in rng.generators(trials):
-            m = gen.binomial(m_atoms, bath.excitation)
-            draws.append(gen.binomial(shots, noon_outcome_probability(n_atoms, theta * m + offset)))
-        counts = np.array(draws)
-    distinct = sorted(set(counts.tolist()))
-    phases, betas = np.empty((2, len(distinct)), dtype=float)
-    for i, k in enumerate(distinct):
-        phi = _phase_from_port_fraction(k / shots if raw else (k + 0.5) / (shots + 1.0), n_atoms, delta)
-        phases[i], betas[i] = phi, _beta_from_phase(phi, bath)
-    index = np.searchsorted(distinct, counts)
-    return phases[index], betas[index]
+        m = round(m_atoms * bath.excitation)
+        ports = [noon_outcome_probability(n, theta * m + delta / n) for (n, *_), delta in zip(points, deltas)]
+        drawn = RngStream._binomials(trials, [(s, shots, p) for (_, shots, s), p in zip(points, ports)])
+    for j, ((n_atoms, shots, stream), delta) in enumerate(zip(points, deltas)):
+        if mode == "fixed_m":
+            counts = drawn[j]
+        else:
+            offset, draws = delta / n_atoms, []
+            for gen in stream.generators(trials):
+                m = gen.binomial(m_atoms, bath.excitation)
+                draws.append(gen.binomial(shots, noon_outcome_probability(n_atoms, theta * m + offset)))
+            counts = np.array(draws)
+        distinct = sorted(set(counts.tolist()))
+        phases, betas = np.empty((2, len(distinct)), dtype=float)
+        for i, k in enumerate(distinct):
+            phi = _phase_from_port_fraction(k / shots if raw else (k + 0.5) / (shots + 1.0), n_atoms, delta)
+            phases[i], betas[i] = phi, _beta_from_phase(phi, bath)
+        index = np.searchsorted(distinct, counts)
+        yield phases[index], betas[index]
 
 
 def _offer_noon_phases(phases: np.ndarray, *request) -> None:

@@ -30,12 +30,12 @@ def enumerate_thermal(n_atoms: int, epsilon: float, beta: float) -> tuple[float,
     Sums over all 2**n_atoms configurations of the ensemble. Two passes keep
     the variance free of catastrophic cancellation.
     """
-    if not 1 <= n_atoms <= MAX_ENUM_ATOMS:
-        raise SizeGuardError(f"n_atoms={n_atoms} outside [1, {MAX_ENUM_ATOMS}]")
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    if not beta >= 0:
-        raise ValueError(f"beta must be nonnegative, got {beta}")
+    if isinstance(n_atoms, bool) or not 1 <= n_atoms <= MAX_ENUM_ATOMS:
+        raise SizeGuardError(f"n_atoms={n_atoms!r} outside the integers [1, {MAX_ENUM_ATOMS}]")
+    if not 0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
+    if not 0 <= beta < math.inf:
+        raise ValueError(f"beta must be nonnegative and finite, got {beta}")
 
     z = 0.0
     weighted_energy = 0.0

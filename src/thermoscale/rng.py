@@ -126,23 +126,32 @@ class RngStream:
         The counts are bit for bit numpy's, drawn as array code from the first
         Philox block of each substream (see :mod:`thermoscale._binomial`); the
         few trials that need more than one block, and all of a batch with
-        ``min(p, 1 - p) * n <= 30``, are drawn by numpy. Refuses
-        what ``Generator.binomial`` refuses, ``n < 0`` and ``p`` outside
-        ``[0, 1]`` or NaN, and what :meth:`generators` refuses, all at the call.
+        ``min(p, 1 - p) * n <= 30``, are drawn by numpy. A sweep draws all its fixed-bath
+        points in one such call over their streams. Refuses what ``Generator.binomial``
+        refuses, ``n < 0`` and ``p`` outside ``[0, 1]`` or NaN, and what
+        :meth:`generators` refuses, all at the call.
         """
-        base = self._first_substream(count)
-        n = _index("n", n)
-        if not 0 <= n < _MAX_COUNT:
-            raise ValueError(f"n must lie in [0, 2**63), got {n}")
-        p = float(p)
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"p must lie in [0, 1], got {p}")
+        return RngStream._binomials(count, [(self, n, p)])[0]
+
+    @staticmethod
+    def _binomials(count: int, draws: list[tuple["RngStream", int, float]]) -> np.ndarray:
+        """Row g: ``stream.binomials(count, n, p)`` of ``draws[g]``, streams of one seed, in one pass."""
+        groups = []
+        for stream, n, p in draws:
+            base = stream._first_substream(count)
+            n = _index("n", n)
+            if not 0 <= n < _MAX_COUNT:
+                raise ValueError(f"n must lie in [0, 2**63), got {n}")
+            p = float(p)
+            if not 0.0 <= p <= 1.0:
+                raise ValueError(f"p must lie in [0, 1], got {p}")
+            groups.append((base, n, p))
         from ._binomial import first_block_binomials
 
-        counts, redraw = first_block_binomials(self.master_seed, base, count, n, p)
-        redo = redraw.nonzero()[0].tolist()
-        for t, gen in zip(redo, self._positioned([base + t for t in redo])):
-            counts[t] = gen.binomial(n, p)
+        counts, redraw = first_block_binomials(draws[0][0].master_seed, count, groups)
+        redo = list(zip(*(axis.tolist() for axis in redraw.nonzero())))
+        for (g, t), gen in zip(redo, draws[0][0]._positioned([groups[g][0] + t for g, t in redo])):
+            counts[g, t] = gen.binomial(*groups[g][1:])
         return counts
 
     def _first_substream(self, count: int) -> int:

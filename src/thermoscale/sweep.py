@@ -23,8 +23,8 @@ from .interferometry import (
     BATH_MODES,
     BathSpec,
     _offer_noon_phases,
+    _run_points,
     require_phase_window,
-    run_interferometer_trials,
     sigma_beta_h_theory,
     sigma_beta_sn_theory,
 )
@@ -136,26 +136,10 @@ def _checked(check, *args):
         raise SweepConfigError(str(exc)) from None
 
 
-def _sweep_point(plan: SweepPlan, n: int, stream: RngStream) -> SweepRecord:
-    """One sweep point: the closed-form theory first, so that a configuration
-    without a temperature response fails before any trial runs, then the trials,
-    whose valid (non-NaN) beta estimates give the spread; fewer than two abort."""
+def _record(n: int, theory: float, betas) -> SweepRecord:
+    """Point ``n``'s record: its valid (non-NaN) beta estimates give the spread; fewer than two abort."""
     import numpy as np
 
-    if plan.protocol == "thermalizing":
-        spec = TwoLevelSpec(n_atoms=n, epsilon=plan.epsilon)
-        theory = shot_noise_sigma_beta(spec, plan.beta_true)
-        betas = run_thermalizing_trials(spec, plan.beta_true, plan.trials_per_n, plan.estimator, stream)
-    else:
-        if plan.protocol == "sn":
-            theory, n_atoms, shots = sigma_beta_sn_theory(plan.bath, n), 1, n
-        else:
-            theory = sigma_beta_h_theory(plan.bath, n) / math.sqrt(plan.repetitions)
-            n_atoms, shots = n, plan.repetitions
-        request = (plan.bath, n_atoms, shots, plan.trials_per_n, plan.bath_mode, stream, plan.estimator)
-        phases, betas = run_interferometer_trials(*request)
-        if plan.protocol == "noon":  # noon_phase_estimates of this point takes them
-            _offer_noon_phases(phases, *request)
     valid = betas[~np.isnan(betas)]
     invalid = len(betas) - len(valid)
     if len(valid) < 2:
@@ -173,12 +157,33 @@ def collect_sweep_records(plan: SweepPlan) -> list[SweepRecord]:
     """Run every sweep point and return its record, in plan order.
 
     Point ``j`` draws from stream ``(master_seed, j)`` with one substream per
-    trial, so the records are a pure function of the plan. A point with fewer
-    than two valid trials aborts the sweep with :class:`SweepAbortError`,
-    naming the offending size.
+    trial, so the records are a pure function of the plan. Every point's theory
+    comes first, so a configuration without a temperature response fails before
+    any trial runs; an interferometric plan then runs all its points in one
+    engine call. A point with fewer than two valid trials aborts the sweep with
+    :class:`SweepAbortError`, naming the first such size.
     """
     plan.validate()
-    return [_sweep_point(plan, n, RngStream(plan.master_seed, j)) for j, n in enumerate(plan.n_values)]
+    bath, trials, mode, estimator = plan.bath, plan.trials_per_n, plan.bath_mode, plan.estimator
+    streams = [RngStream(plan.master_seed, j) for j in range(len(plan.n_values))]
+    # each record is built as soon as its point's estimates arrive, so an abort stops the sweep there
+    if plan.protocol == "thermalizing":
+        specs = [TwoLevelSpec(n_atoms=n, epsilon=plan.epsilon) for n in plan.n_values]
+        theories = [shot_noise_sigma_beta(spec, plan.beta_true) for spec in specs]
+        return [_record(n, theory, run_thermalizing_trials(spec, plan.beta_true, trials, estimator, s))
+                for n, theory, spec, s in zip(plan.n_values, theories, specs, streams)]
+    if plan.protocol == "sn":
+        theories = [sigma_beta_sn_theory(bath, n) for n in plan.n_values]
+        points = [(1, n, s) for n, s in zip(plan.n_values, streams)]
+    else:
+        theories = [sigma_beta_h_theory(bath, n) / math.sqrt(plan.repetitions) for n in plan.n_values]
+        points = [(n, plan.repetitions, s) for n, s in zip(plan.n_values, streams)]
+    records, results = [], _run_points(bath, points, trials, mode, estimator)
+    for n, theory, (n_atoms, shots, s), (phases, betas) in zip(plan.n_values, theories, points, results):
+        if plan.protocol == "noon":  # noon_phase_estimates of this point takes them
+            _offer_noon_phases(phases, bath, n_atoms, shots, trials, mode, s, estimator)
+        records.append(_record(n, theory, betas))
+    return records
 
 
 def fit_power_law(points: Sequence[tuple[int, float]]) -> ScalingFit:
@@ -271,6 +276,9 @@ _RECORD_FIELDS = tuple(f.name for f in fields(SweepRecord))
 # the fit's scalars; its points are the records themselves
 _FIT_FIELDS = tuple(f.name for f in fields(ScalingFit) if f.name != "points")
 _CSV_FIT_FIELDS = ("slope", "stderr_slope", "r_squared")
+# the reader's check of each record field, against what a sweep writes there
+_RECORD_CHECKS = {"n": (_at_least, 1), "trials": (_at_least, 2), "invalid_fraction": (_real, False),
+                  "sigma_beta_empirical": (_real, False), "sigma_beta_theory": (_real, True)}
 
 CSV_HEADER = ",".join(_RECORD_FIELDS)
 
@@ -351,8 +359,9 @@ def _refuse_constant(token: str):
 def read_jsonl_results(path: str) -> tuple[list[SweepRecord], Optional[ScalingFit]]:
     """Parse a JSONL results file back into records and the fit, if present.
 
-    What :func:`write_results` never writes (a ``NaN`` or ``Infinity`` token, a
-    missing field, malformed JSON) raises a ValueError naming ``path:line``."""
+    What :func:`write_results` never writes (a ``NaN`` or ``Infinity`` token, a missing
+    field, malformed JSON, a string or bool where a number belongs, a count or spread
+    out of range) raises a ValueError naming ``path:line``."""
     records: list[SweepRecord] = []
     fit = None
     with open(path) as handle:
@@ -362,14 +371,19 @@ def read_jsonl_results(path: str) -> tuple[list[SweepRecord], Optional[ScalingFi
                 continue
             try:
                 obj = json.loads(line, parse_constant=_refuse_constant)
-                if "fit" in obj:
-                    fit = ScalingFit(
-                        *(obj["fit"][name] for name in _FIT_FIELDS),
-                        points=tuple((r.n, r.sigma_beta_empirical) for r in records),
-                    )
+                source, names = (obj["fit"], _FIT_FIELDS) if "fit" in obj else (obj, _RECORD_FIELDS)
+                values = {k: source[k] for k in names}
+                if not all(type(x) is int or type(x) is float and math.isfinite(x) for x in values.values()):
+                    raise ValueError(f"result values must be finite JSON numbers, got {values}")
+                if names is _FIT_FIELDS:
+                    points = tuple((r.n, r.sigma_beta_empirical) for r in records)
+                    fit = ScalingFit(**values, points=points)
                 else:
-                    records.append(SweepRecord(*(obj[name] for name in _RECORD_FIELDS)))
-            except (KeyError, ValueError) as exc:
+                    values = {k: check(k, values[k], arg) for k, (check, arg) in _RECORD_CHECKS.items()}
+                    if values["invalid_fraction"] > 1.0:
+                        raise ValueError(f"invalid_fraction must be at most 1, got {obj['invalid_fraction']}")
+                    records.append(SweepRecord(**values))
+            except (KeyError, TypeError, ValueError) as exc:  # TypeError: a line that is no JSON object
                 reason = f"missing field {exc}" if isinstance(exc, KeyError) else exc
                 raise ValueError(f"{path}:{lineno}: {reason}") from None
     return records, fit

@@ -223,7 +223,7 @@ class TestDegenerateSensitivity:
 
     def test_sweep_exits_2_before_any_trial(self, tmp_path, monkeypatch, capsys):
         streams = []
-        generators, binomials = RngStream.generators, RngStream.binomials
+        generators, binomials, draw = RngStream.generators, RngStream.binomials, RngStream._binomials
 
         def spy(self, count):
             streams.append(self)
@@ -233,8 +233,13 @@ class TestDegenerateSensitivity:
             streams.append(self)
             return binomials(self, count, n, p)
 
+        def draw_spy(count, draws):  # the draw a sweep takes all its fixed-bath points through
+            streams.extend(stream for stream, _, _ in draws)
+            return draw(count, draws)
+
         monkeypatch.setattr(RngStream, "generators", spy)
         monkeypatch.setattr(RngStream, "binomials", binomials_spy)
+        monkeypatch.setattr(RngStream, "_binomials", staticmethod(draw_spy))
         out = tmp_path / "x.csv"
         code = run_cli(
             "sweep", "--protocol", "noon", "--n-values", "2,4,8,16", "--trials", "20",

@@ -46,6 +46,15 @@ class TestEnumerateThermal:
         with pytest.raises(SizeGuardError):
             enumerate_thermal(17, 1.0, 1.0)
 
+    @pytest.mark.parametrize(
+        "n_atoms, epsilon, beta",
+        [(3, math.inf, 1.0), (3, 1.0, math.inf), (True, 1.0, 1.0), (3, 0.0, 1.0), (3, 1.0, -0.5)],
+        ids=["infinite-epsilon", "infinite-beta", "bool-atoms", "zero-epsilon", "negative-beta"],
+    )
+    def test_refuses_what_is_not_a_finite_ensemble(self, n_atoms, epsilon, beta):
+        with pytest.raises(ValueError):
+            enumerate_thermal(n_atoms, epsilon, beta)
+
 
 class TestBranchPhase:
     def test_no_excited_bath_atoms(self):

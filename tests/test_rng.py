@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from thermoscale import _binomial
+from thermoscale.interferometry import BathSpec, max_theta
 from thermoscale.rng import RngStream
+from thermoscale.sweep import SweepPlan, collect_sweep_records
 
 
 def test_same_stream_reproduces_bits():
@@ -218,3 +221,56 @@ def test_binomials_refuse_what_numpy_refuses(n, p):
 def test_binomials_validate_the_count(count):
     with pytest.raises(ValueError):
         RngStream(9).binomials(count, 10, 0.5)
+
+
+# the groups of one multi-stream draw: p on both sides of 1/2, an inversion-regime
+# group, n = 0, p = 0 and 1, and n from 10^2 to 10^5 as a shot-noise sweep has
+MULTI_DRAW_GROUPS = [
+    (200, 0.47), (5000, 0.83), (50, 0.3), (0, 0.4), (100, 0.0), (100, 1.0),
+    (10**2, 0.45), (10**3, 0.45), (10**4, 0.45), (10**5, 0.45),
+]
+
+
+@pytest.mark.parametrize("mirrors", [True, False], ids=["kernel", "numpy-only"])
+@pytest.mark.parametrize("count", [0, 1, 3, 400])
+@pytest.mark.parametrize("stream", EDGE_STREAMS, ids=EDGE_STREAM_IDS)
+def test_multi_stream_draw_matches_each_stream(stream, count, mirrors, monkeypatch):
+    monkeypatch.setattr(_binomial, "MIRRORS_NUMPY", mirrors)
+    # neighbouring stream indices of one master seed, wrapping below 2^96 so that
+    # every substream index fits in 128 bits
+    seed, index = stream.master_seed, stream.stream_index
+    streams = [RngStream(seed, (index + g) % 2**96) for g in range(len(MULTI_DRAW_GROUPS))]
+    draws = [(s, n, p) for s, (n, p) in zip(streams, MULTI_DRAW_GROUPS)]
+    drawn = RngStream._binomials(count, draws)
+    assert drawn.dtype == np.int64 and drawn.shape == (len(draws), count)
+    for row, (s, n, p) in zip(drawn.tolist(), draws):
+        assert row == s.binomials(count, n, p).tolist() == [gen.binomial(n, p) for gen in s.generators(count)]
+
+
+@pytest.mark.parametrize("protocol", ["noon", "sn"])
+def test_fixed_bath_sweep_draws_every_point_in_one_kernel_call(protocol, monkeypatch):
+    calls = []
+    kernel = _binomial.first_block_binomials
+
+    def spy(key, count, groups):
+        calls.append(len(groups))
+        return kernel(key, count, groups)
+
+    monkeypatch.setattr(_binomial, "first_block_binomials", spy)
+    bath = BathSpec(100, 1.0, 1.0, max_theta(100, 32), 1.0)
+    n_values = (2, 4, 8, 16, 32) if protocol == "noon" else (10**2, 10**3, 10**4, 10**5, 10**6)
+    collect_sweep_records(SweepPlan(protocol, n_values, 200, 17, bath=bath, repetitions=200))
+    assert calls == [5]
+
+
+def test_first_block_carries_the_substream_index_into_word_3():
+    # a stream's substream indices start at a multiple of 2**32, so no stream
+    # wraps the low counter word; the kernel is still exact for a range that does
+    key, count = 2**64 - 1, 1000
+    groups = [(2**64 - 500, 200, 0.47), (3 * 2**64 - 1, 5000, 0.83)]
+    counts, redraw = _binomial.first_block_binomials(key, count, groups)
+    for (base, n, p), row, again in zip(groups, counts.tolist(), redraw.tolist()):
+        loop = [gen.binomial(n, p) for gen in RngStream(key)._positioned(range(base, base + count))]
+        kept = [t for t in range(count) if not again[t]]
+        assert len(kept) > count * 0.8
+        assert [row[t] for t in kept] == [loop[t] for t in kept]

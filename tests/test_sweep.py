@@ -5,6 +5,7 @@ import math
 import pytest
 
 from thermoscale.interferometry import BathSpec, PhaseWindowError, max_theta
+from thermoscale.rng import RngStream
 from thermoscale.sweep import (
     CSV_HEADER,
     ScalingFit,
@@ -196,6 +197,17 @@ class TestRunSweep:
         assert info.value.n == 1
         assert "n=1" in str(info.value)
 
+    def test_sampled_bath_abort_draws_no_later_point(self, monkeypatch):
+        # one raw single-atom shot reads a port fraction of 0 or 1, both outside (0, M)
+        streams, generators = [], RngStream.generators
+        monkeypatch.setattr(RngStream, "generators", lambda self, count: streams.append(self) or generators(self, count))
+        bath = BathSpec(100, 1.0, 1.0, max_theta(100), 1.0)
+        plan = SweepPlan("sn", (1, 2, 4, 8), 50, 3, estimator="raw", bath=bath, bath_mode="sampled_m")
+        with pytest.raises(SweepAbortError) as info:
+            collect_sweep_records(plan)
+        assert info.value.n == 1
+        assert streams == [RngStream(3, 0)]
+
     def test_records_are_deterministic(self):
         assert collect_sweep_records(THERM_PLAN) == collect_sweep_records(THERM_PLAN)
 
@@ -380,8 +392,31 @@ class TestResultFiles:
             (VALID_LINE.replace("0.5,", "-Infinity,", 1), "-Infinity is not a finite number"),
             (VALID_LINE.replace('"trials": 10', '"trails": 10'), "missing field 'trials'"),
             ('{"fit": {"slope": -0.5, "intercept": 0.0, "stderr_slope": 0.0}}', "missing field 'r_squared'"),
+            (
+                '{"n": 2.5, "sigma_beta_empirical": "0.5", "sigma_beta_theory": -1, "invalid_fraction": 7, "trials": true}',
+                "result values must be finite JSON numbers",
+            ),
+            (VALID_LINE.replace('"n": 2', '"n": 0'), "n must be at least 1"),
+            (VALID_LINE.replace('"n": 2', '"n": true'), "result values must be finite JSON numbers"),
+            (VALID_LINE.replace('"trials": 10', '"trials": 2.5'), "trials must be an integer"),
+            (VALID_LINE.replace('"trials": 10', '"trials": 1'), "trials must be at least 2"),
+            (VALID_LINE.replace("0.5,", '"0.5",', 1), "result values must be finite JSON numbers"),
+            (VALID_LINE.replace("0.5,", "-0.5,", 1), "sigma_beta_empirical must be a nonnegative finite real"),
+            (VALID_LINE.replace("0.5,", "1e400,", 1), "result values must be finite JSON numbers"),
+            (VALID_LINE.replace('"sigma_beta_theory": 0.5', '"sigma_beta_theory": 0'), "sigma_beta_theory must be a positive"),
+            (VALID_LINE.replace('"sigma_beta_theory": 0.5', '"sigma_beta_theory": true'), "result values must be finite"),
+            (VALID_LINE.replace('"invalid_fraction": 0.0', '"invalid_fraction": 7'), "invalid_fraction must be at most 1"),
+            (VALID_LINE.replace('"invalid_fraction": 0.0', '"invalid_fraction": -0.1'), "invalid_fraction must be a nonnegative"),
+            ('{"fit": {"slope": "-0.5", "intercept": 0.0, "stderr_slope": 0.0, "r_squared": 1}}', "result values must be finite"),
+            ('{"fit": {"slope": -0.5, "intercept": 0.0, "stderr_slope": 0.0, "r_squared": true}}', "result values must be finite"),
+            ('{"fit": {"slope": -0.5, "intercept": 0.0, "stderr_slope": 1e400, "r_squared": 1}}', "result values must be finite"),
+            ("[2, 0.5, 0.5, 0.0, 10]", ""),
         ],
-        ids=["nan", "inf", "-inf", "record-field", "fit-field"],
+        ids=[
+            "nan", "inf", "-inf", "record-field", "fit-field", "every-field-wrong", "n-zero", "n-bool", "trials-fraction",
+            "trials-one", "spread-string", "spread-negative", "spread-overflow", "theory-zero", "theory-bool",
+            "invalid-above-one", "invalid-negative", "fit-string", "fit-bool", "fit-overflow", "not-an-object",
+        ],
     )
     def test_jsonl_reader_refuses_what_the_writer_never_writes(self, tmp_path, line, match):
         # write_results never writes these, so a file holding them is not a result file
@@ -389,6 +424,12 @@ class TestResultFiles:
         path.write_text(self.VALID_LINE + "\n" + line + "\n")
         with pytest.raises(ValueError, match=f"bad.jsonl:2: {match}"):
             read_jsonl_results(str(path))
+
+    def test_jsonl_reader_takes_a_zero_spread(self, tmp_path):
+        # a point whose valid estimates are all equal writes sigma_beta_empirical 0
+        path = tmp_path / "flat.jsonl"
+        path.write_text(self.VALID_LINE.replace("0.5,", "0,", 1) + "\n")
+        assert read_jsonl_results(str(path))[0] == [SweepRecord(2, 0.0, 0.5, 0.0, 10)]
 
     def test_unwritable_destination(self):
         with pytest.raises(OSError) as info:
