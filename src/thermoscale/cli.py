@@ -19,9 +19,11 @@ import sys
 from typing import Optional, Sequence
 
 from . import oracle
+from .estimators import ESTIMATORS
 from .interferometry import BathSpec, dephasing_visibility, noon_outcome_probability
 from .rng import _at_least, _real
 from .sweep import (
+    PROTOCOLS,
     SweepAbortError,
     SweepConfigError,
     SweepPlan,
@@ -62,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="run a scaling campaign and write records")
     sweep.add_argument("--config", default=None)
-    sweep.add_argument("--protocol", choices=["thermalizing", "sn", "noon"], required=True)
+    sweep.add_argument("--protocol", choices=PROTOCOLS, required=True)
     sweep.add_argument("--n-values", required=True, help="comma-separated sizes, e.g. 16,32,64,128")
     sweep.add_argument("--trials", type=int, required=True)
     sweep.add_argument("--reps", type=int, default=2, help="shots per trial (noon protocol)")
@@ -72,7 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--alpha", type=float, default=None)
     sweep.add_argument("--tau", type=float, default=None)
     sweep.add_argument("--bath-mode", choices=["fixed", "sampled"], default="fixed")
-    sweep.add_argument("--estimator", choices=["raw", "jeffreys"], default="jeffreys")
+    sweep.add_argument("--estimator", choices=ESTIMATORS, default="jeffreys")
     sweep.add_argument("--seed", type=int, required=True)
     sweep.add_argument("--out", required=True)
     sweep.add_argument("--format", choices=["csv", "jsonl"], default="csv")
@@ -212,6 +214,7 @@ def _within(name: str, what: str, error: float, tol: float) -> tuple[str, bool, 
 
 
 def _verify_checks() -> list[tuple[str, bool, str]]:
+    """The one oracle suite: each row checks a brute-force oracle against the package's own closed form."""
     checks: list[tuple[str, bool, str]] = []
 
     worst = 0.0
@@ -229,15 +232,12 @@ def _verify_checks() -> list[tuple[str, bool, str]]:
 
     worst = 0.0
     for n in range(1, 9):
-        for k in range(20):
-            phi = 0.05 + k * (math.pi / n - 0.1) / 19.0
-            p3, p4 = oracle.noon_probs_exact(n, phi)
-            worst = max(
-                worst,
-                abs(p3 + p4 - 1.0),
-                abs(p4 - noon_outcome_probability(n, phi)),
-                abs(p3 - (1.0 - noon_outcome_probability(n, phi))),
-            )
+        for lo in (0.05, 0.01):
+            for k in range(20):
+                phi = lo + k * (math.pi / n - 2.0 * lo) / 19.0
+                p3, p4 = oracle.noon_probs_exact(n, phi)
+                closed = noon_outcome_probability(n, phi)
+                worst = max(worst, abs(p3 + p4 - 1.0), abs(p4 - closed), abs(p3 - (1.0 - closed)))
     checks.append(_within("interferometer state algebra vs fringe formulas", "max err", worst, 1e-10))
 
     exact = all(
@@ -250,11 +250,11 @@ def _verify_checks() -> list[tuple[str, bool, str]]:
 
     worst = 0.0
     for m_atoms in range(1, 17):
-        for p in (0.1, 0.25, 0.5):
-            for phase in (0.05, 0.3, 1.0, 2.5):
-                direct = oracle.mixed_bath_visibility_exact(m_atoms, p, phase)
-                closed = abs((1.0 - p) + p * complex(math.cos(phase), math.sin(phase))) ** m_atoms
-                worst = max(worst, abs(direct - closed))
+        for beta in (0.0, math.log(3.0), math.log(9.0)):  # p = 1/2, 1/4, 1/10
+            for phase in (0.05, 0.1, 0.3, 0.7, 1.0, 2.5, 2.9):
+                bath = BathSpec(m_atoms, 1.0, beta, phase, 1.0)
+                direct = oracle.mixed_bath_visibility_exact(m_atoms, bath.excitation, phase)
+                worst = max(worst, abs(direct - dephasing_visibility(bath, 1)))
     checks.append(_within("mixing visibility phasor sum vs closed form", "max err", worst, 1e-14))
 
     return checks

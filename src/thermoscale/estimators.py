@@ -27,10 +27,10 @@ if TYPE_CHECKING:
 ESTIMATORS = ("raw", "jeffreys")
 
 
-def check_mode(name: str, value: str, allowed: tuple[str, ...], error: type = ValueError) -> None:
+def check_mode(name: str, value: str, allowed: tuple[str, ...]) -> None:
     """Refuse a mode that is not one of the strings ``allowed``, spelled exactly."""
     if value not in allowed:
-        raise error(f"{name} must be one of {allowed}, got {value!r}")
+        raise ValueError(f"{name} must be one of {allowed}, got {value!r}")
 
 
 def estimate_beta_from_count(

@@ -24,14 +24,22 @@ class SizeGuardError(ValueError):
     """A brute-force call exceeded the exact-enumeration size guard."""
 
 
+def _guard(low: int, high: int, phase: float = 0.0, **counts: int) -> None:
+    """Refuse a count that is not an int (a bool is not) in ``[low, high]``, or a phase that is not finite."""
+    for name, value in counts.items():
+        if isinstance(value, bool) or not isinstance(value, int) or not low <= value <= high:
+            raise SizeGuardError(f"{name}={value!r} outside the integers [{low}, {high}]")
+    if not math.isfinite(phase):
+        raise ValueError(f"phase must be finite, got {phase}")
+
+
 def enumerate_thermal(n_atoms: int, epsilon: float, beta: float) -> tuple[float, float, float]:
     """Partition sum, mean energy and energy variance by exhaustive enumeration.
 
     Sums over all 2**n_atoms configurations of the ensemble. Two passes keep
     the variance free of catastrophic cancellation.
     """
-    if isinstance(n_atoms, bool) or not 1 <= n_atoms <= MAX_ENUM_ATOMS:
-        raise SizeGuardError(f"n_atoms={n_atoms!r} outside the integers [1, {MAX_ENUM_ATOMS}]")
+    _guard(1, MAX_ENUM_ATOMS, n_atoms=n_atoms)
     if not 0 < epsilon < math.inf:
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     if not 0 <= beta < math.inf:
@@ -64,10 +72,7 @@ def branch_phase(n_thermometer: int, m_excited_bath: int, theta: float) -> float
     ``n * m * theta``. Guards keep each subsystem within 16 atoms and the
     pair within 24.
     """
-    if not 0 <= n_thermometer <= MAX_ENUM_ATOMS:
-        raise SizeGuardError(f"n_thermometer={n_thermometer} outside [0, {MAX_ENUM_ATOMS}]")
-    if not 0 <= m_excited_bath <= MAX_ENUM_ATOMS:
-        raise SizeGuardError(f"m_excited_bath={m_excited_bath} outside [0, {MAX_ENUM_ATOMS}]")
+    _guard(0, MAX_ENUM_ATOMS, theta, n_thermometer=n_thermometer, m_excited_bath=m_excited_bath)
     if n_thermometer + m_excited_bath > MAX_COMBINED_ATOMS:
         raise SizeGuardError(
             f"combined size {n_thermometer + m_excited_bath} exceeds {MAX_COMBINED_ATOMS}"
@@ -90,8 +95,7 @@ def noon_probs_exact(n_atoms: int, phi_b: float) -> tuple[float, float]:
     closing splitter are successive 2x2 complex matrix-vector products. Returns
     the squared magnitudes ``(p_port3, p_port4)``.
     """
-    if not 1 <= n_atoms <= MAX_NOON_ATOMS:
-        raise SizeGuardError(f"n_atoms={n_atoms} outside [1, {MAX_NOON_ATOMS}]")
+    _guard(1, MAX_NOON_ATOMS, phi_b, n_atoms=n_atoms)
     scale = 1.0 / math.sqrt(2.0)
     splitter = ((scale, 1j * scale), (1j * scale, scale))
 
@@ -110,8 +114,7 @@ def mixed_bath_visibility_exact(m_atoms: int, p: float, n_phase: float) -> float
 
     Evaluates ``|sum_m Binom(m; M, p) * exp(1j * n_phase * m)|`` term by term.
     """
-    if not 1 <= m_atoms <= MAX_ENUM_ATOMS:
-        raise SizeGuardError(f"m_atoms={m_atoms} outside [1, {MAX_ENUM_ATOMS}]")
+    _guard(1, MAX_ENUM_ATOMS, n_phase, m_atoms=m_atoms)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
     total = 0.0 + 0.0j

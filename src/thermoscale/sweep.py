@@ -114,8 +114,8 @@ class SweepPlan:
         # one substream per trial, and a stream has 2**32 of them
         if _checked(_at_least, "trials_per_n", self.trials_per_n, 2) > _SUBSTREAM_STRIDE:
             raise SweepConfigError(f"trials_per_n must lie in [2, 2**32], got {self.trials_per_n}")
-        check_mode("estimator", self.estimator, ESTIMATORS, SweepConfigError)
-        check_mode("bath_mode", self.bath_mode, BATH_MODES, SweepConfigError)
+        _checked(check_mode, "estimator", self.estimator, ESTIMATORS)
+        _checked(check_mode, "bath_mode", self.bath_mode, BATH_MODES)
         if self.protocol == "thermalizing":
             _checked(_real, "beta_true", self.beta_true, False)  # refuses None too
             _checked(_real, "epsilon", self.epsilon)
@@ -193,6 +193,8 @@ def fit_power_law(points: Sequence[tuple[int, float]]) -> ScalingFit:
     if len(points) < MIN_FIT_POINTS:
         raise ValueError(f"need at least {MIN_FIT_POINTS} points to fit, got {len(points)}")
     points = [(_at_least("each n", n), _real("each sigma", s)) for n, s in points]
+    if len({n for n, _ in points}) < 2:
+        raise ValueError(f"need at least two distinct sizes to fit a slope, got only n={points[0][0]}")
     log_n = [math.log(n) for n, _ in points]
     log_s = [math.log(s) for _, s in points]
     # ordinary least squares; the slope error uses the correlation clipped to [-1, 1]
@@ -361,7 +363,7 @@ def read_jsonl_results(path: str) -> tuple[list[SweepRecord], Optional[ScalingFi
 
     What :func:`write_results` never writes (a ``NaN`` or ``Infinity`` token, a missing
     field, malformed JSON, a string or bool where a number belongs, a count or spread
-    out of range) raises a ValueError naming ``path:line``."""
+    out of range, any line after the fit line) raises a ValueError naming ``path:line``."""
     records: list[SweepRecord] = []
     fit = None
     with open(path) as handle:
@@ -370,6 +372,8 @@ def read_jsonl_results(path: str) -> tuple[list[SweepRecord], Optional[ScalingFi
             if not line:
                 continue
             try:
+                if fit is not None:
+                    raise ValueError("a line after the fit line; the fit is written once, last")
                 obj = json.loads(line, parse_constant=_refuse_constant)
                 source, names = (obj["fit"], _FIT_FIELDS) if "fit" in obj else (obj, _RECORD_FIELDS)
                 values = {k: source[k] for k in names}

@@ -5,13 +5,13 @@ statistical criteria use frozen master seeds; identical plans reproduce
 identical numbers on any machine, so the pass/fail outcomes are stable.
 """
 
-import cmath
 import math
 import time
 
 import numpy as np
 import pytest
 
+from thermoscale.cli import _verify_checks
 from thermoscale.estimators import run_thermalizing_trials
 from thermoscale.interferometry import (
     BathSpec,
@@ -20,12 +20,6 @@ from thermoscale.interferometry import (
     measure_fringe_visibility,
     noon_phase_estimates,
     sigma_m_sn_theory,
-)
-from thermoscale.oracle import (
-    branch_phase,
-    enumerate_thermal,
-    mixed_bath_visibility_exact,
-    noon_probs_exact,
 )
 from thermoscale.rng import RngStream
 from thermoscale.sweep import (
@@ -82,55 +76,15 @@ def test_a1_analytic_identities():
 
 
 def test_a2_oracle_equivalence():
+    # the suite `verify` prints: each brute-force oracle against the package's own closed form
     start = time.time()
-    worst_thermal = 0.0
-    for n in range(1, 13):
-        for x in (0.1, 1.0, 5.0):
-            z, mean, var = enumerate_thermal(n, 1.0, x)
-            s = thermal_summary(TwoLevelSpec(n, 1.0), x)
-            worst_thermal = max(
-                worst_thermal,
-                abs(math.log(z) - s.log_z) / abs(s.log_z),
-                abs(mean - s.mean_energy) / s.mean_energy,
-                abs(var - s.energy_variance) / s.energy_variance,
-            )
-
-    worst_noon = 0.0
-    for n in range(1, 9):
-        for k in range(20):
-            phi = 0.01 + k * (math.pi / n - 0.02) / 19
-            p3, p4 = noon_probs_exact(n, phi)
-            worst_noon = max(
-                worst_noon,
-                abs(p3 - math.sin(n * phi / 2.0) ** 2),
-                abs(p4 - math.cos(n * phi / 2.0) ** 2),
-            )
-
-    phases_exact = all(
-        branch_phase(n, m, theta) == (n * m) * theta
-        for n in range(0, 9)
-        for m in range(0, 9)
-        for theta in (0.1, 0.7, 2.9)
-    )
-
-    worst_vis = 0.0
-    for m_atoms in range(1, 17):
-        for p in (0.1, 0.25, 0.5):
-            for phase in (0.05, 0.3, 1.0, 2.5):
-                direct = mixed_bath_visibility_exact(m_atoms, p, phase)
-                closed = abs((1.0 - p) + p * cmath.exp(1j * phase)) ** m_atoms
-                worst_vis = max(worst_vis, abs(direct - closed))
-
+    rows = _verify_checks()
     elapsed = time.time() - start
     check(
         "A2",
-        worst_thermal <= 1e-12
-        and worst_noon <= 1e-10
-        and phases_exact
-        and worst_vis <= 1e-14
-        and elapsed < 5.0,
-        f"thermal rel {worst_thermal:.2e}, fringe {worst_noon:.2e}, "
-        f"phases exact {phases_exact}, visibility {worst_vis:.2e}, {elapsed:.2f}s",
+        len(rows) == 4 and all(passed for _, passed, _ in rows) and elapsed < 5.0,
+        "; ".join(f"{name}: {'ok' if passed else 'FAIL'}, {detail}" for name, passed, detail in rows)
+        + f"; {elapsed:.2f}s",
     )
 
 

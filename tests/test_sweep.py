@@ -48,6 +48,11 @@ class TestFitPowerLaw:
             with pytest.raises(ValueError, match=match):
                 fit_power_law([(1, 1.0), (2, 0.5), (4, 0.25), (n, sigma)])
 
+    def test_refuses_equal_sizes(self):
+        # no spread in log(n) leaves the slope undefined
+        with pytest.raises(ValueError, match="two distinct sizes"):
+            fit_power_law([(2, 1.0)] * 3 + [(2, 2.0)])
+
     def test_points_are_preserved(self):
         points = [(2, 1.0), (4, 0.5), (8, 0.25), (16, 0.125)]
         fit = fit_power_law(points)
@@ -423,6 +428,20 @@ class TestResultFiles:
         path = tmp_path / "bad.jsonl"
         path.write_text(self.VALID_LINE + "\n" + line + "\n")
         with pytest.raises(ValueError, match=f"bad.jsonl:2: {match}"):
+            read_jsonl_results(str(path))
+
+    FIT_LINE = '{"fit": {"slope": -0.5, "intercept": 0.0, "stderr_slope": 0.0, "r_squared": 1.0}}'
+
+    @pytest.mark.parametrize(
+        "lines, bad_line",
+        [([FIT_LINE, VALID_LINE], 2), ([VALID_LINE, FIT_LINE, FIT_LINE], 3), ([VALID_LINE, FIT_LINE, VALID_LINE], 3)],
+        ids=["fit-first", "second-fit", "record-after-fit"],
+    )
+    def test_jsonl_reader_takes_the_fit_once_and_last(self, tmp_path, lines, bad_line):
+        # write_results writes the fit once, after every record, and its points are those records
+        path = tmp_path / "bad.jsonl"
+        path.write_text("".join(line + "\n" for line in lines))
+        with pytest.raises(ValueError, match=f"bad.jsonl:{bad_line}: a line after the fit line"):
             read_jsonl_results(str(path))
 
     def test_jsonl_reader_takes_a_zero_spread(self, tmp_path):
