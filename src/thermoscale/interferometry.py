@@ -23,10 +23,10 @@ stream and draws ``m`` and then the port count in a Python loop:
 The phase and beta estimates are computed once per distinct port count and
 gathered into per-trial float64 arrays.
 
-A sweep hands each ``noon`` point's phases to the next identical request of
-:func:`noon_phase_estimates`, bit for bit a fresh simulation (trial t is a function of
-substream t alone); a second request, or any other, misses and simulates, which only
-costs time. At most 2**16 phases (512 KiB) are held, the oldest point dropped first.
+The last ``noon`` sweep of at most 2**16 phases (512 KiB) keeps them until the next ``noon``
+sweep, and a larger sweep keeps none. A point's phases go to the first identical request of
+:func:`noon_phase_estimates`, bit for bit a fresh simulation (trial t is a function of substream
+t alone); a repeated or different request misses and simulates, which only costs time.
 
 Both close the interferometer with the same splitter convention, modelled on
 the two-dimensional subspace of "all atoms in arm 3" / "all atoms in arm 4"
@@ -63,12 +63,11 @@ from __future__ import annotations
 
 import cmath
 import math
-import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
 from .estimators import ESTIMATORS, check_mode
-from .rng import RngStream, _at_least, _real
+from .rng import RngStream, _at_least, _index, _real
 from .thermal import DegenerateSensitivityError, excitation_probability
 
 if TYPE_CHECKING:
@@ -76,9 +75,7 @@ if TYPE_CHECKING:
 
 PHASE_WINDOW_MARGIN = 1e-3
 BATH_MODES = ("fixed_m", "sampled_m")
-_PHASE_LIMIT = 2**16  # noon sweep phases kept for noon_phase_estimates, 512 KiB of float64
-_phase_store: dict[tuple, np.ndarray] = {}  # those phases by request key, oldest point first
-_phase_lock = threading.Lock()
+_phase_store: dict[tuple, np.ndarray] = {}  # the last noon sweep's phases by request key
 
 
 class PhaseWindowError(ValueError):
@@ -149,8 +146,10 @@ def noon_outcome_probability(n_atoms: int, phi_b: float) -> float:
     The complementary outcome has probability ``sin^2`` of the same argument.
     With one atom this is the plain fringe ``cos^2(phi_b / 2)``.
     """
-    if n_atoms < 1:
-        raise ValueError(f"n_atoms must be at least 1, got {n_atoms}")
+    if type(n_atoms) is not int:  # inline, not _at_least/_real: this runs once per sampled-bath trial
+        n_atoms = _index("n_atoms", n_atoms)
+    if n_atoms < 1 or not math.isfinite(phi_b):
+        raise ValueError(f"need an n_atoms of at least 1 and a finite phi_b, got {n_atoms} and {phi_b!r}")
     return math.cos(n_atoms * phi_b / 2.0) ** 2
 
 
@@ -255,16 +254,10 @@ def _run_points(bath: BathSpec, points: list, trials: int, mode: str, estimator:
         yield phases[index], betas[index]
 
 
-def _offer_noon_phases(phases: np.ndarray, *request) -> None:
-    """Keep a noon sweep point's ``phases`` for :func:`noon_phase_estimates` of the same ``request``."""
-    if len(phases) <= _PHASE_LIMIT:
-        key = _request(*request)
-        with _phase_lock:
-            _phase_store.pop(key, None)
-            _phase_store[key] = phases
-            kept = sum(map(len, _phase_store.values()))
-            while kept > _PHASE_LIMIT:  # drop the oldest points; the new one fits alone
-                kept -= len(_phase_store.pop(next(iter(_phase_store))))
+def _keep_noon_phases(kept: dict) -> None:
+    """Replace the kept phases with ``kept``, a completed noon sweep's, in one rebinding."""
+    global _phase_store
+    _phase_store = kept
 
 
 def noon_phase_estimates(
@@ -280,13 +273,13 @@ def noon_phase_estimates(
     :func:`run_interferometer_trials`, finite even where the beta estimate is invalid.
 
     The arguments are checked as the engine checks them. A request equal to a
-    ``noon`` sweep point's takes that point's phases, bit for bit a fresh
-    simulation; a second one, or any other, misses and simulates, which costs
-    only time. At most 2**16 phases are held.
+    point of the last ``noon`` sweep takes that point's phases, bit for bit a
+    fresh simulation; a second one, or any other, misses and simulates, which
+    costs only time. A sweep of more than 2**16 phases keeps none, and the
+    next ``noon`` sweep replaces what the last one kept.
     """
     request = (bath, n_atoms, repetitions, trials, mode, rng, estimator)
-    with _phase_lock:
-        phases = _phase_store.pop(_request(*request), None)
+    phases = _phase_store.pop(_request(*request), None)
     return run_interferometer_trials(*request)[0] if phases is None else phases
 
 

@@ -17,9 +17,9 @@ numpy inverts the CDF (``min(p, 1 - p) * n <= 30``), is drawn by numpy.
 numpy is imported by the methods that build a generator or draw, not by the
 module, so the closed forms and oracles run without it.
 
-The package checks its arguments with the private helpers here, each raising a
-ValueError that names the argument: ``_index`` (an integer, no bool), ``_at_least``
-(such an integer, at least a bound) and ``_real`` (a finite positive or nonnegative float).
+The package checks its arguments with the private helpers here, each raising a ValueError
+that names the argument: ``_index`` (an integer, no bool), ``_at_least`` (such an integer,
+at least a bound, that ``float()`` takes) and ``_real`` (a finite positive or nonnegative float).
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ if TYPE_CHECKING:
 _MAX_SEED = 2**64
 _MAX_INDEX = 2**128
 _MAX_COUNT = 2**63  # numpy's binomial takes n as an int64
+_FLOAT_END = 2**1024 - 2**970  # the least integer that float() refuses: it rounds up to infinity
 _SUBSTREAM_STRIDE = 2**32
 _WORD_MASK = 0xFFFFFFFFFFFFFFFF
 
@@ -50,10 +51,12 @@ def _index(what: str, value) -> int:
 
 
 def _at_least(what: str, value, low: int = 1) -> int:
-    """``value`` through :func:`_index`, refused below ``low``."""
+    """``value`` through :func:`_index`, refused below ``low`` or where ``float()`` would overflow."""
     value = _index(what, value)
     if value < low:
         raise ValueError(f"{what} must be at least {low}, got {value}")
+    if value >= _FLOAT_END:
+        raise ValueError(f"{what} must convert to a float, got an integer of {value.bit_length()} bits")
     return value
 
 

@@ -22,13 +22,14 @@ from .estimators import ESTIMATORS, check_mode, run_thermalizing_trials
 from .interferometry import (
     BATH_MODES,
     BathSpec,
-    _offer_noon_phases,
+    _keep_noon_phases,
+    _request,
     _run_points,
     require_phase_window,
     sigma_beta_h_theory,
     sigma_beta_sn_theory,
 )
-from .rng import _SUBSTREAM_STRIDE, RngStream, _at_least, _real
+from .rng import _MAX_COUNT, _SUBSTREAM_STRIDE, RngStream, _at_least, _real
 from .thermal import (
     DegenerateSensitivityError,
     TwoLevelSpec,
@@ -39,6 +40,7 @@ from .thermal import (
 
 PROTOCOLS = ("thermalizing", "sn", "noon")
 MIN_FIT_POINTS = 4
+_PHASE_LIMIT = 2**16  # most phases a noon sweep keeps for noon_phase_estimates, 512 KiB of float64
 
 
 class SweepConfigError(ValueError):
@@ -126,6 +128,12 @@ class SweepPlan:
                 _checked(_at_least, "repetitions", self.repetitions, 2)
             # phase window must hold at the largest swept size
             require_phase_window(self.bath, max(values) if self.protocol == "noon" else 1)
+        drawn = {"repetitions": self.repetitions} if self.protocol == "noon" else {"each of n_values": values[-1]}
+        if self.protocol != "thermalizing" and self.bath_mode == "sampled_m":
+            drawn["bath.m_atoms"] = self.bath.m_atoms
+        for what, count in drawn.items():  # numpy's binomial takes each as its n, an int64
+            if count >= _MAX_COUNT:
+                raise SweepConfigError(f"{what} must be below 2**63, got {count}")
 
 
 def _checked(check, *args):
@@ -178,11 +186,15 @@ def collect_sweep_records(plan: SweepPlan) -> list[SweepRecord]:
     else:
         theories = [sigma_beta_h_theory(bath, n) / math.sqrt(plan.repetitions) for n in plan.n_values]
         points = [(n, plan.repetitions, s) for n, s in zip(plan.n_values, streams)]
+    # a noon sweep keeps its points' phases for noon_phase_estimates, unless they exceed the limit
+    keep, kept = plan.protocol == "noon" and len(points) * trials <= _PHASE_LIMIT, {}
     records, results = [], _run_points(bath, points, trials, mode, estimator)
     for n, theory, (n_atoms, shots, s), (phases, betas) in zip(plan.n_values, theories, points, results):
-        if plan.protocol == "noon":  # noon_phase_estimates of this point takes them
-            _offer_noon_phases(phases, bath, n_atoms, shots, trials, mode, s, estimator)
+        if keep:
+            kept[_request(bath, n_atoms, shots, trials, mode, s, estimator)] = phases
         records.append(_record(n, theory, betas))
+    if plan.protocol == "noon":  # only a completed sweep replaces the last one's phases
+        _keep_noon_phases(kept)
     return records
 
 

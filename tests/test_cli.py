@@ -218,28 +218,34 @@ class TestConfigFile:
         assert info.value.code == 2
 
 
+@pytest.fixture
+def drawn_streams(monkeypatch):
+    """The streams that trials draw from, recorded as every draw path is entered."""
+    streams = []
+    generators, binomials, draw = RngStream.generators, RngStream.binomials, RngStream._binomials
+
+    def spy(self, count):
+        streams.append(self)
+        return generators(self, count)
+
+    def binomials_spy(self, count, n, p):
+        streams.append(self)
+        return binomials(self, count, n, p)
+
+    def draw_spy(count, draws):  # the draw a sweep takes all its fixed-bath points through
+        streams.extend(stream for stream, _, _ in draws)
+        return draw(count, draws)
+
+    monkeypatch.setattr(RngStream, "generators", spy)
+    monkeypatch.setattr(RngStream, "binomials", binomials_spy)
+    monkeypatch.setattr(RngStream, "_binomials", staticmethod(draw_spy))
+    return streams
+
+
 class TestDegenerateSensitivity:
     """A configuration whose mean energy does not respond to beta is invalid input."""
 
-    def test_sweep_exits_2_before_any_trial(self, tmp_path, monkeypatch, capsys):
-        streams = []
-        generators, binomials, draw = RngStream.generators, RngStream.binomials, RngStream._binomials
-
-        def spy(self, count):
-            streams.append(self)
-            return generators(self, count)
-
-        def binomials_spy(self, count, n, p):
-            streams.append(self)
-            return binomials(self, count, n, p)
-
-        def draw_spy(count, draws):  # the draw a sweep takes all its fixed-bath points through
-            streams.extend(stream for stream, _, _ in draws)
-            return draw(count, draws)
-
-        monkeypatch.setattr(RngStream, "generators", spy)
-        monkeypatch.setattr(RngStream, "binomials", binomials_spy)
-        monkeypatch.setattr(RngStream, "_binomials", staticmethod(draw_spy))
+    def test_sweep_exits_2_before_any_trial(self, tmp_path, drawn_streams, capsys):
         out = tmp_path / "x.csv"
         code = run_cli(
             "sweep", "--protocol", "noon", "--n-values", "2,4,8,16", "--trials", "20",
@@ -248,7 +254,7 @@ class TestDegenerateSensitivity:
         )
         assert code == 2
         assert "invalid configuration" in capsys.readouterr().err
-        assert streams == []
+        assert drawn_streams == []
         assert not out.exists()
 
     def test_fig1_exits_2(self, tmp_path, capsys):
@@ -257,6 +263,24 @@ class TestDegenerateSensitivity:
         assert code == 2
         assert "invalid configuration" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestOversizedCounts:
+    """A count that numpy's binomial or float() cannot take exits 2 before any trial or output."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (("stats", "--epsilon", "1", "--beta", "1", "--n", str(10**400)), "n_atoms must convert to a float"),
+        (("dephasing", "--bath-m", str(10**400), "--theta", "0.05", "--n", "3", "--beta-true", "1"),
+         "m_atoms must convert to a float"),
+        (("sweep", "--protocol", "thermalizing", "--n-values", f"16,32,64,{2**63}", "--trials", "20",
+          "--beta-true", "1", "--seed", "7", "--out", "x.csv"), "each of n_values must be below 2**63"),
+    ], ids=["stats", "dephasing", "thermalizing sweep"])
+    def test_exits_2_before_any_trial(self, argv, message, tmp_path, drawn_streams, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(*argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and message in err
+        assert drawn_streams == [] and list(tmp_path.iterdir()) == []
 
 
 def test_every_public_name_resolves():

@@ -6,7 +6,7 @@ import threading
 import numpy as np
 import pytest
 
-from thermoscale import interferometry
+from thermoscale import interferometry, sweep
 from thermoscale.interferometry import (
     BathSpec,
     PhaseWindowError,
@@ -193,6 +193,12 @@ class TestIntegerInputs:
         # a fractional bath size would raise TypeError, and True be returned as a size
         (lambda bath: matched_thermometer_size(2.5, "heisenberg"), "m_atoms must be an integer"),
         (lambda bath: matched_thermometer_size(True, "shot_noise"), "m_atoms must be an integer"),
+        # a fractional or bool atom number would give a probability (0.866 and 0.978 here)
+        (lambda bath: noon_outcome_probability(2.5, 0.3), "n_atoms must be an integer"),
+        (lambda bath: noon_outcome_probability(True, 0.3), "n_atoms must be an integer"),
+        # a NaN phase would give NaN, and an infinite one a bare "math domain error"
+        (lambda bath: noon_outcome_probability(2, math.nan), "finite phi_b"),
+        (lambda bath: noon_outcome_probability(2, math.inf), "finite phi_b"),
     ]
 
     @pytest.mark.parametrize(
@@ -441,25 +447,30 @@ class TestPhaseHandoff:
         collect_sweep_records(SweepPlan("sn", (16, 32, 64, 128), 200, 91, bath=self.BATH))
         assert not interferometry._phase_store
 
-    def test_point_above_limit_is_kept_nowhere(self):
+    def test_point_above_limit_is_kept_nowhere(self, monkeypatch):
+        monkeypatch.setattr(sweep, "_PHASE_LIMIT", 800)  # the plan's 4 points x 200 trials: kept
         collect_sweep_records(self.PLAN)
-        kept = dict(interferometry._phase_store)
-        big = SweepPlan("noon", (1, 2, 4, 8), 2**16 + 1, 92, bath=self.BATH, repetitions=200)
-        collect_sweep_records(big)
-        assert interferometry._phase_store == kept  # nothing added, nothing dropped
+        assert len(interferometry._phase_store) == 4
+        monkeypatch.setattr(sweep, "_PHASE_LIMIT", 799)  # one phase short: the sweep keeps none
+        collect_sweep_records(self.PLAN)
+        assert not interferometry._phase_store
 
-    def test_oldest_points_dropped_beyond_limit(self, monkeypatch):
-        monkeypatch.setattr(interferometry, "_PHASE_LIMIT", 500)
-        collect_sweep_records(self.PLAN)  # four points of 200 phases; the last two fit
-        assert sum(map(len, interferometry._phase_store.values())) == 400
-        for j, n in enumerate(self.PLAN.n_values):
-            noon_phase_estimates(**self.request(j, n))
-            assert len(interferometry._phase_store) == (2 if j < 2 else 3 - j)
+    def test_later_noon_sweep_replaces_earlier_points(self):
+        collect_sweep_records(self.PLAN)
+        collect_sweep_records(SweepPlan("noon", (1, 2, 4, 8), 200, 95, bath=self.BATH, repetitions=50))
+        noon_phase_estimates(**self.request(0, 1))  # the earlier sweep's point misses
+        assert len(interferometry._phase_store) == 4
+        noon_phase_estimates(**self.request(0, 1, rng=RngStream(95, 0)))  # the later one's hits
+        assert len(interferometry._phase_store) == 3
+        # an sn sweep, and a noon sweep that aborts at its last point, leave the store as it was
+        collect_sweep_records(SweepPlan("sn", (16, 32, 64, 128), 200, 91, bath=self.BATH))
+        cold = SweepPlan("noon", (1, 2, 4, 8), 20, 43, bath=make_bath(beta=20.0, theta=self.BATH.theta), estimator="raw")
+        pytest.raises(SweepAbortError, collect_sweep_records, cold)  # point n=8 has no valid trial
+        assert len(interferometry._phase_store) == 3
 
-    def test_concurrent_sweeps_and_requests(self, monkeypatch):
-        # more threads than cores, switching often, sharing keys (seed 93 twice)
-        # and overflowing a small limit, so that unlocked store updates would show
-        monkeypatch.setattr(interferometry, "_PHASE_LIMIT", 500)
+    def test_concurrent_sweeps_and_requests(self):
+        # more threads than cores, switching often and sharing keys (seed 93 twice),
+        # so that a hit races with other threads' sweeps replacing the kept phases
         seeds = (93, 94, 93)
         results, errors = {}, []
 
@@ -488,36 +499,6 @@ class TestPhaseHandoff:
         for (_, seed), phases in results.items():
             for j, n in enumerate(self.PLAN.n_values):
                 assert phases[j].tobytes() == self.fresh(self.request(j, n, rng=RngStream(seed, j))).tobytes()
-        assert sum(map(len, interferometry._phase_store.values())) <= 500
-
-
-    def test_concurrent_offers_stay_within_limit(self, monkeypatch):
-        # a check-then-act race on the store would lose a size update or pop a
-        # point another thread just dropped
-        monkeypatch.setattr(interferometry, "_PHASE_LIMIT", 10)
-        errors = []
-
-        def worker(seed):
-            try:
-                for i in range(5000):
-                    phases = np.zeros(2 + i % 3)
-                    interferometry._offer_noon_phases(phases, *self.request(0, 2, rng=RngStream(seed, i)).values())
-            except Exception as exc:  # reported below, from the main thread
-                errors.append(exc)
-
-        threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(4)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert not errors
-        assert sum(map(len, interferometry._phase_store.values())) <= 10
 
 
 class TestOutcomeSampling:

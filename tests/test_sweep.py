@@ -127,6 +127,24 @@ class TestPlanValidation:
         with pytest.raises(SweepConfigError, match="must be a .* finite real"):
             plan.validate()
 
+    # every count that a trial hands numpy's binomial as n, which numpy takes as an int64
+    DRAWN_COUNTS = {
+        "thermalizing size": lambda c: SweepPlan("thermalizing", (16, 32, 64, c), 10, 0, beta_true=1.0),
+        "sn size": lambda c: SweepPlan("sn", (16, 32, 64, c), 10, 0, bath=BathSpec(100, 1.0, 1.0, 0.01, 1.0)),
+        "noon repetitions": lambda c: SweepPlan(
+            "noon", (1, 2, 4, 8), 10, 0, bath=BathSpec(100, 1.0, 1.0, max_theta(100, 8), 1.0), repetitions=c
+        ),
+        "sampled bath size": lambda c: SweepPlan(
+            "sn", (16, 32, 64, 128), 10, 0, bath=BathSpec(c, 1.0, 1.0, 1e-30, 1.0), bath_mode="sampled_m"
+        ),
+    }
+
+    @pytest.mark.parametrize("what", DRAWN_COUNTS)
+    def test_drawn_counts_stay_below_2_63(self, what):
+        self.DRAWN_COUNTS[what](2**63 - 1).validate()
+        with pytest.raises(SweepConfigError, match=r"must be below 2\*\*63, got 9223372036854775808"):
+            self.DRAWN_COUNTS[what](2**63).validate()
+
     def test_phase_window_checked_at_largest_size(self):
         bath = BathSpec(100, 1.0, 1.0, max_theta(100, 8), 1.0)
         SweepPlan("noon", (2, 4, 8), 10, 0, bath=bath, repetitions=8)  # no validate yet
