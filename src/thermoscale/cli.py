@@ -42,28 +42,28 @@ EXIT_ALL_INVALID = 3
 EXIT_IO = 4
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(config: argparse.ArgumentParser) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="thermoscale",
         description="Precision scaling of two-level-ensemble thermometers.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    stats = sub.add_parser("stats", help="closed-form thermal summary as key=value lines")
-    stats.add_argument("--config", default=None)
+    stats = sub.add_parser("stats", parents=[config], help="closed-form thermal summary as key=value lines")
+    stats.set_defaults(run=_cmd_stats)
     stats.add_argument("--epsilon", type=float, required=True)
     stats.add_argument("--beta", type=float, required=True)
     stats.add_argument("--n", type=int, default=1)
 
-    fig1 = sub.add_parser("fig1", help="scaled-uncertainty curve table as CSV")
-    fig1.add_argument("--config", default=None)
+    fig1 = sub.add_parser("fig1", parents=[config], help="scaled-uncertainty curve table as CSV")
+    fig1.set_defaults(run=_cmd_fig1)
     fig1.add_argument("--epsilon", type=float, required=True)
     fig1.add_argument("--beta-max", type=float, required=True)
     fig1.add_argument("--points", type=int, required=True)
     fig1.add_argument("--out", required=True)
 
-    sweep = sub.add_parser("sweep", help="run a scaling campaign and write records")
-    sweep.add_argument("--config", default=None)
+    sweep = sub.add_parser("sweep", parents=[config], help="run a scaling campaign and write records")
+    sweep.set_defaults(run=_cmd_sweep)
     sweep.add_argument("--protocol", choices=PROTOCOLS, required=True)
     sweep.add_argument("--n-values", required=True, help="comma-separated sizes, e.g. 16,32,64,128")
     sweep.add_argument("--trials", type=int, required=True)
@@ -79,11 +79,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--out", required=True)
     sweep.add_argument("--format", choices=["csv", "jsonl"], default="csv")
 
-    verify = sub.add_parser("verify", help="run the brute-force oracle equivalence suite")
-    verify.add_argument("--config", default=None)
+    verify = sub.add_parser("verify", parents=[config], help="run the brute-force oracle equivalence suite")
+    verify.set_defaults(run=_cmd_verify)
 
-    deph = sub.add_parser("dephasing", help="fringe visibility under per-shot bath resampling")
-    deph.add_argument("--config", default=None)
+    deph = sub.add_parser("dephasing", parents=[config], help="fringe visibility under per-shot bath resampling")
+    deph.set_defaults(run=_cmd_dephasing)
     deph.add_argument("--bath-m", type=int, required=True)
     deph.add_argument("--theta", type=float, required=True)
     deph.add_argument("--n", type=int, required=True)
@@ -114,19 +114,13 @@ def _load_config_flags(path: str) -> list[str]:
     return flags
 
 
-def _merge_config(argv: list[str]) -> list[str]:
+def _merge_config(argv: list[str], config: argparse.ArgumentParser) -> list[str]:
     """Insert config-file flags right after the subcommand so CLI flags win."""
-    config_path = None
-    for i, token in enumerate(argv):
-        if token == "--config" and i + 1 < len(argv):
-            config_path = argv[i + 1]
-            break
-        if token.startswith("--config="):
-            config_path = token.split("=", 1)[1]
-            break
-    if config_path is None or not argv:
-        return argv
-    return [argv[0]] + _load_config_flags(config_path) + argv[1:]
+    try:
+        config_path = config.parse_known_args(argv)[0].config
+    except argparse.ArgumentError:  # --config without a value, left to the subcommand parser
+        config_path = None
+    return argv if config_path is None else [argv[0]] + _load_config_flags(config_path) + argv[1:]
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
@@ -288,22 +282,17 @@ def _cmd_dephasing(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "stats": _cmd_stats,
-    "fig1": _cmd_fig1,
-    "sweep": _cmd_sweep,
-    "verify": _cmd_verify,
-    "dephasing": _cmd_dephasing,
-}
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
+    # the one --config flag, a parent of every subcommand; exit_on_error=False makes a --config
+    # without a path raise ArgumentError in _merge_config instead of exiting there
+    config = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    config.add_argument("--config", default=None)
+    parser = _build_parser(config)
     try:
-        merged = _merge_config(argv)
+        merged = _merge_config(argv, config)
         args = parser.parse_args(merged)
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except ModuleNotFoundError as exc:
         # only the trial engines import numpy: without it a sweep cannot start,
         # which is a setup error (2), not a failed verification (1)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
-from .rng import RngStream, _index
+from .rng import RngStream, _binomial_n, _index
 from .thermal import TwoLevelSpec, excitation_probability, invert_mean_fraction
 
 if TYPE_CHECKING:
@@ -93,7 +93,7 @@ def run_thermalizing_trials(
     import numpy as np
 
     check_mode("estimator", mode, ESTIMATORS)
-    n_atoms, epsilon = spec.n_atoms, spec.epsilon
+    n_atoms, epsilon = _binomial_n("spec.n_atoms", spec.n_atoms), spec.epsilon
     p = excitation_probability(epsilon, beta_true)
     return np.array(
         [

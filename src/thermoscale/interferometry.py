@@ -67,7 +67,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
 from .estimators import ESTIMATORS, check_mode
-from .rng import RngStream, _at_least, _index, _real
+from .rng import RngStream, _at_least, _binomial_n, _index, _real
 from .thermal import DegenerateSensitivityError, excitation_probability
 
 if TYPE_CHECKING:
@@ -180,9 +180,11 @@ def _beta_from_phase(phi_b_hat: float, bath: BathSpec) -> float:
 def _request(bath, n_atoms, shots, trials, mode, rng, estimator) -> tuple:
     """The engine's arguments once checked, with the counts as ints: also the key
     under which a sweep keeps a noon point's phases for :func:`noon_phase_estimates`."""
-    n_atoms, shots = _at_least("n_atoms", n_atoms), _at_least("shots", shots)
+    n_atoms, shots = _at_least("n_atoms", n_atoms), _binomial_n("shots", shots)
     require_phase_window(bath, n_atoms)
     check_mode("bath mode", mode, BATH_MODES)
+    if mode == "sampled_m":  # the one mode that draws the bath count
+        _binomial_n("bath.m_atoms", bath.m_atoms)
     check_mode("estimator", estimator, ESTIMATORS)
     return (bath, n_atoms, shots, _at_least("count", trials, low=0), mode, rng, estimator)
 
@@ -343,12 +345,12 @@ def measure_fringe_visibility(
 
     n_atoms, phase_points = _at_least("n_atoms", n_atoms), _at_least("phase_points", phase_points, low=3)
     shots_per_point = _at_least("shots", shots, low=phase_points) // phase_points
-    p = bath.excitation
+    m_atoms, p = _binomial_n("bath.m_atoms", bath.m_atoms), bath.excitation
     coefficient = 0.0 + 0.0j
     for j in range(phase_points):
         delta = 2.0 * math.pi * j / phase_points
         gen = rng.substream(j).generator()
-        ms = gen.binomial(bath.m_atoms, p, size=shots_per_point)
+        ms = gen.binomial(m_atoms, p, size=shots_per_point)
         port_probs = np.cos((n_atoms * bath.theta * ms + delta) / 2.0) ** 2
         hits = gen.random(shots_per_point) < port_probs
         coefficient += hits.mean() * cmath.exp(-1j * delta)

@@ -19,7 +19,8 @@ module, so the closed forms and oracles run without it.
 
 The package checks its arguments with the private helpers here, each raising a ValueError
 that names the argument: ``_index`` (an integer, no bool), ``_at_least`` (such an integer,
-at least a bound, that ``float()`` takes) and ``_real`` (a finite positive or nonnegative float).
+at least a bound, that ``float()`` takes), ``_binomial_n`` (such an integer below 2**63, as
+numpy's binomial takes it) and ``_real`` (a finite positive or nonnegative float).
 """
 
 from __future__ import annotations
@@ -57,6 +58,14 @@ def _at_least(what: str, value, low: int = 1) -> int:
         raise ValueError(f"{what} must be at least {low}, got {value}")
     if value >= _FLOAT_END:
         raise ValueError(f"{what} must convert to a float, got an integer of {value.bit_length()} bits")
+    return value
+
+
+def _binomial_n(what: str, value, low: int = 1) -> int:
+    """``value`` through :func:`_at_least` and below 2**63, as numpy's binomial takes it (an int64)."""
+    value = _at_least(what, value, low)
+    if value >= _MAX_COUNT:
+        raise ValueError(f"{what} must be below 2**63, got {value}")
     return value
 
 
@@ -142,10 +151,7 @@ class RngStream:
         groups = []
         for stream, n, p in draws:
             base = stream._first_substream(count)
-            n = _index("n", n)
-            if not 0 <= n < _MAX_COUNT:
-                raise ValueError(f"n must lie in [0, 2**63), got {n}")
-            p = float(p)
+            n, p = _binomial_n("n", n, low=0), float(p)
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"p must lie in [0, 1], got {p}")
             groups.append((base, n, p))

@@ -29,7 +29,7 @@ from .interferometry import (
     sigma_beta_h_theory,
     sigma_beta_sn_theory,
 )
-from .rng import _MAX_COUNT, _SUBSTREAM_STRIDE, RngStream, _at_least, _real
+from .rng import _SUBSTREAM_STRIDE, RngStream, _at_least, _binomial_n, _real
 from .thermal import (
     DegenerateSensitivityError,
     TwoLevelSpec,
@@ -132,8 +132,7 @@ class SweepPlan:
         if self.protocol != "thermalizing" and self.bath_mode == "sampled_m":
             drawn["bath.m_atoms"] = self.bath.m_atoms
         for what, count in drawn.items():  # numpy's binomial takes each as its n, an int64
-            if count >= _MAX_COUNT:
-                raise SweepConfigError(f"{what} must be below 2**63, got {count}")
+            _checked(_binomial_n, what, count)
 
 
 def _checked(check, *args):

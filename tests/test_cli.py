@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import thermoscale
+from thermoscale import cli
 from thermoscale.cli import main
 from thermoscale.rng import RngStream
 from thermoscale.sweep import CSV_HEADER
@@ -55,6 +56,11 @@ class TestFig1:
         assert len(lines) == 22
         first = [float(x) for x in lines[1].split(",")]
         assert first == [0.0, 0.5, 2.0]
+
+    def test_one_point_is_the_origin(self, tmp_path):
+        out = tmp_path / "fig1.csv"
+        assert run_cli("fig1", "--epsilon", "1.0", "--beta-max", "10", "--points", "1", "--out", str(out)) == 0
+        assert out.read_text().splitlines()[1:] == ["0,0.5,2"]
 
     def test_unwritable_out(self, capsys):
         code = run_cli(
@@ -145,6 +151,15 @@ class TestVerify:
         assert len(lines) == 4
         assert all(line.startswith("ok") for line in lines)
 
+    def test_failing_check_prints_fail_and_exits_1(self, monkeypatch, capsys):
+        rows = [("agreeing row", True, "max err 0, tol 1"), ("disagreeing row", False, "max err 2, tol 1")]
+        monkeypatch.setattr(cli, "_verify_checks", lambda: rows)
+        assert run_cli("verify") == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "ok   agreeing row (max err 0, tol 1)",
+            "FAIL disagreeing row (max err 2, tol 1)",
+        ]
+
 
 class TestDephasing:
     def test_closed_form_and_oracle_agree(self, capsys):
@@ -212,6 +227,33 @@ class TestConfigFile:
         cfg.write_text("this line has no equals sign\n")
         assert run_cli("stats", "--config", str(cfg)) == 2
 
+    def test_empty_value_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("epsilon =\n")
+        assert run_cli("stats", "--config", str(cfg)) == 2
+        assert "bad.cfg:1: expected 'key = value', got 'epsilon ='" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "spelling",
+        [["--config={}"], ["--conf", "{}"], ["--config", "{}.missing", "--config", "{}"]],
+        ids=["equals", "prefix", "last-of-two"],
+    )
+    def test_every_spelling_argparse_takes_is_read(self, spelling, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("epsilon = 1.0\nbeta = 0.0\nn = 10\n")
+        assert run_cli("stats", *(token.format(cfg) for token in spelling)) == 0
+        values = dict(
+            line.split("=") for line in capsys.readouterr().out.strip().splitlines()
+        )
+        assert float(values["mean_energy"]) == pytest.approx(5.0)
+
+    @pytest.mark.parametrize("argv", [["--config"], ["--config", "--n", "3"]], ids=["trailing", "before-a-flag"])
+    def test_config_without_a_path_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            run_cli("stats", "--epsilon", "1", "--beta", "1", *argv)
+        assert info.value.code == 2
+        assert "argument --config: expected one argument" in capsys.readouterr().err
+
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as info:
             run_cli("explode")
@@ -254,6 +296,17 @@ class TestDegenerateSensitivity:
         )
         assert code == 2
         assert "invalid configuration" in capsys.readouterr().err
+        assert drawn_streams == []
+        assert not out.exists()
+
+    def test_thermalizing_sweep_exits_2_before_any_trial(self, tmp_path, drawn_streams, capsys):
+        out = tmp_path / "x.csv"
+        code = run_cli(
+            "sweep", "--protocol", "thermalizing", "--n-values", "16,32,64,128", "--trials", "20",
+            "--beta-true", "800", "--seed", "1", "--out", str(out),
+        )
+        assert code == 2
+        assert "eps_prime underflowed to zero" in capsys.readouterr().err
         assert drawn_streams == []
         assert not out.exists()
 

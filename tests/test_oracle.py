@@ -137,11 +137,13 @@ class TestMixedBathVisibilityExact:
         (branch_phase, (True, 2, 0.1)),
         (branch_phase, (2, True, 0.1)),
         (branch_phase, (2.5, 2, 0.1)),
+        (mixed_bath_visibility_exact, (3, 1.5, 0.1)),
     ],
     ids=[
         "noon-fractional-atoms", "noon-bool-atoms", "noon-infinite-phase",
         "visibility-infinite-phase", "visibility-bool-atoms", "visibility-fractional-atoms",
         "pair-nan-theta", "pair-bool-thermometer", "pair-bool-bath", "pair-fractional-thermometer",
+        "visibility-p-above-one",
     ],
 )
 def test_oracles_refuse_what_is_not_a_finite_ensemble(oracle, args):

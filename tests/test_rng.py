@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from thermoscale import _binomial
-from thermoscale.interferometry import BathSpec, max_theta
+from thermoscale.estimators import run_thermalizing_trials
+from thermoscale.interferometry import BathSpec, max_theta, measure_fringe_visibility, run_interferometer_trials
 from thermoscale.rng import RngStream
 from thermoscale.sweep import SweepPlan, collect_sweep_records
+from thermoscale.thermal import TwoLevelSpec
 
 
 def test_same_stream_reproduces_bits():
@@ -215,6 +217,25 @@ def test_binomials_refuse_what_numpy_refuses(n, p):
     if isinstance(n, int):
         with pytest.raises(ValueError):
             RngStream(3).generator().binomial(n, p)
+
+
+HUGE_BATH = BathSpec(2**63, 1.0, 1.0, 1e-30, 1.0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: run_thermalizing_trials(TwoLevelSpec(2**63, 1.0), 1.0, 5, "jeffreys", RngStream(1)),
+        lambda: run_interferometer_trials(HUGE_BATH, 1, 10, 5, "sampled_m", RngStream(1)),
+        lambda: measure_fringe_visibility(HUGE_BATH, 1, 30, 3, RngStream(1)),
+        lambda: run_interferometer_trials(BathSpec(100, 1.0, 1.0, 0.01, 1.0), 1, 2**63, 5, "sampled_m", RngStream(1)),
+    ],
+    ids=["thermalizing-size", "sampled-bath-size", "fringe-bath-size", "sampled-bath-shots"],
+)
+def test_engines_refuse_what_numpy_cannot_draw(call):
+    # numpy's binomial takes its n as an int64, and would raise OverflowError at the first draw
+    with pytest.raises(ValueError, match=r"must be below 2\*\*63, got 9223372036854775808"):
+        call()
 
 
 @pytest.mark.parametrize("count", [-1, 2**32 + 1, 2.5, True])

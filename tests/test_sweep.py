@@ -462,6 +462,13 @@ class TestResultFiles:
         with pytest.raises(ValueError, match=f"bad.jsonl:{bad_line}: a line after the fit line"):
             read_jsonl_results(str(path))
 
+    def test_jsonl_reader_skips_blank_lines(self, tmp_path):
+        path = tmp_path / "gaps.jsonl"
+        path.write_text(self.VALID_LINE + "\n\n   \n" + self.FIT_LINE + "\n\n")
+        records, fit = read_jsonl_results(str(path))
+        assert records == [SweepRecord(2, 0.5, 0.5, 0.0, 10)]
+        assert fit == ScalingFit(-0.5, 0.0, 0.0, 1.0, points=((2, 0.5),))
+
     def test_jsonl_reader_takes_a_zero_spread(self, tmp_path):
         # a point whose valid estimates are all equal writes sigma_beta_empirical 0
         path = tmp_path / "flat.jsonl"
