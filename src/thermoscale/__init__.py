@@ -12,7 +12,6 @@ from .estimators import (
 )
 from .interferometry import (
     BathSpec,
-    PhaseWindowError,
     dephasing_visibility,
     max_theta,
     measure_fringe_visibility,
@@ -26,7 +25,6 @@ from .interferometry import (
     sigma_m_sn_theory,
 )
 from .oracle import (
-    SizeGuardError,
     branch_phase,
     enumerate_thermal,
     mixed_bath_visibility_exact,
@@ -36,7 +34,6 @@ from .rng import RngStream
 from .sweep import (
     ScalingFit,
     SweepAbortError,
-    SweepConfigError,
     SweepPlan,
     SweepRecord,
     bath_intrinsic_sigma,
@@ -48,10 +45,8 @@ from .sweep import (
     read_jsonl_results,
 )
 from .thermal import (
-    DegenerateSensitivityError,
     ThermalSummary,
     TwoLevelSpec,
-    UnboundedEstimateError,
     cr_bound_sigma,
     doppler_precision,
     excitation_probability,
@@ -64,18 +59,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BathSpec",
-    "DegenerateSensitivityError",
-    "PhaseWindowError",
     "RngStream",
     "ScalingFit",
-    "SizeGuardError",
     "SweepAbortError",
-    "SweepConfigError",
     "SweepPlan",
     "SweepRecord",
     "ThermalSummary",
     "TwoLevelSpec",
-    "UnboundedEstimateError",
     "bath_intrinsic_sigma",
     "branch_phase",
     "collect_sweep_records",

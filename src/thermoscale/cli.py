@@ -25,7 +25,6 @@ from .rng import _at_least, _real
 from .sweep import (
     PROTOCOLS,
     SweepAbortError,
-    SweepConfigError,
     SweepPlan,
     collect_sweep_records,
     fig1_curves,
@@ -94,33 +93,37 @@ def _build_parser(config: argparse.ArgumentParser) -> argparse.ArgumentParser:
 
 
 def _load_config_flags(path: str) -> list[str]:
-    """Turn ``key = value`` lines into the equivalent flag list."""
+    """Turn ``key = value`` lines into the equivalent flag list; a line starting with ``#`` is a comment."""
     flags: list[str] = []
     try:
         with open(path) as handle:
             text = handle.read()
     except OSError as exc:
-        raise SweepConfigError(f"cannot read config file {path!r}: {exc}") from exc
+        raise ValueError(f"cannot read config file {path!r}: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        line = raw.strip()
+        if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise SweepConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         if not key or not value:
-            raise SweepConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         flags.extend([f"--{key.replace('_', '-')}", value])
     return flags
 
 
 def _merge_config(argv: list[str], config: argparse.ArgumentParser) -> list[str]:
-    """Insert config-file flags right after the subcommand so CLI flags win."""
+    """Insert config-file flags right after the subcommand, wherever ``--config`` stood, so CLI flags win."""
     try:
-        config_path = config.parse_known_args(argv)[0].config
+        known, rest = config.parse_known_args(argv)
     except argparse.ArgumentError:  # --config without a value, left to the subcommand parser
-        config_path = None
-    return argv if config_path is None else [argv[0]] + _load_config_flags(config_path) + argv[1:]
+        return argv
+    if known.config is None:
+        return argv
+    if not rest:  # no subcommand to read the file for: the full parser reports it missing
+        return rest
+    return rest[:1] + _load_config_flags(known.config) + rest[1:]
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
@@ -152,7 +155,7 @@ def _plan_from_args(args: argparse.Namespace) -> SweepPlan:
     try:
         n_values = tuple(int(part) for part in args.n_values.split(",") if part.strip())
     except ValueError as exc:
-        raise SweepConfigError(f"cannot parse --n-values {args.n_values!r}: {exc}") from exc
+        raise ValueError(f"cannot parse --n-values {args.n_values!r}: {exc}") from exc
     bath = None
     if args.protocol in ("sn", "noon"):
         missing = [
@@ -166,9 +169,7 @@ def _plan_from_args(args: argparse.Namespace) -> SweepPlan:
             if value is None
         ]
         if missing:
-            raise SweepConfigError(
-                f"protocol {args.protocol!r} requires {', '.join(missing)}"
-            )
+            raise ValueError(f"protocol {args.protocol!r} requires {', '.join(missing)}")
         bath = BathSpec(
             m_atoms=args.bath_m,
             epsilon=args.epsilon,

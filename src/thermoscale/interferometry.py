@@ -68,7 +68,7 @@ from typing import TYPE_CHECKING, Iterator
 
 from .estimators import ESTIMATORS, check_mode
 from .rng import RngStream, _at_least, _binomial_n, _index, _real
-from .thermal import DegenerateSensitivityError, excitation_probability
+from .thermal import excitation_probability
 
 if TYPE_CHECKING:
     import numpy as np
@@ -76,10 +76,6 @@ if TYPE_CHECKING:
 PHASE_WINDOW_MARGIN = 1e-3
 BATH_MODES = ("fixed_m", "sampled_m")
 _phase_store: dict[tuple, np.ndarray] = {}  # the last noon sweep's phases by request key
-
-
-class PhaseWindowError(ValueError):
-    """The configured phases leave the invertible branch of the fringe."""
 
 
 @dataclass(frozen=True)
@@ -123,7 +119,7 @@ def require_phase_window(bath: BathSpec, n_atoms: int = 1) -> None:
     limit = math.pi - PHASE_WINDOW_MARGIN
     accumulated = _at_least("n_atoms", n_atoms) * bath.theta * bath.m_atoms
     if accumulated > limit:
-        raise PhaseWindowError(
+        raise ValueError(
             f"phase window violated: n_atoms * theta * m_atoms = {accumulated:.6g} "
             f"> pi - {PHASE_WINDOW_MARGIN:g} = {limit:.6g}"
         )
@@ -295,7 +291,7 @@ def _inverse_mean_slope(bath: BathSpec) -> float:
     p = bath.excitation
     slope = bath.m_atoms * bath.epsilon * p * (1.0 - p)
     if slope == 0.0:
-        raise DegenerateSensitivityError("d<m>/dbeta of the bath underflowed to zero; no response")
+        raise ValueError("d<m>/dbeta of the bath underflowed to zero; no response")
     return 1.0 / slope
 
 

@@ -20,15 +20,11 @@ MAX_NOON_ATOMS = 8
 MAX_COMBINED_ATOMS = 24
 
 
-class SizeGuardError(ValueError):
-    """A brute-force call exceeded the exact-enumeration size guard."""
-
-
 def _guard(low: int, high: int, phase: float = 0.0, **counts: int) -> None:
     """Refuse a count that is not an int (a bool is not) in ``[low, high]``, or a phase that is not finite."""
     for name, value in counts.items():
         if isinstance(value, bool) or not isinstance(value, int) or not low <= value <= high:
-            raise SizeGuardError(f"{name}={value!r} outside the integers [{low}, {high}]")
+            raise ValueError(f"{name}={value!r} outside the integers [{low}, {high}]")
     if not math.isfinite(phase):
         raise ValueError(f"phase must be finite, got {phase}")
 
@@ -74,9 +70,7 @@ def branch_phase(n_thermometer: int, m_excited_bath: int, theta: float) -> float
     """
     _guard(0, MAX_ENUM_ATOMS, theta, n_thermometer=n_thermometer, m_excited_bath=m_excited_bath)
     if n_thermometer + m_excited_bath > MAX_COMBINED_ATOMS:
-        raise SizeGuardError(
-            f"combined size {n_thermometer + m_excited_bath} exceeds {MAX_COMBINED_ATOMS}"
-        )
+        raise ValueError(f"combined size {n_thermometer + m_excited_bath} exceeds {MAX_COMBINED_ATOMS}")
     thermometer = [1] * n_thermometer
     bath = [1] * m_excited_bath
     excited_pairs = 0

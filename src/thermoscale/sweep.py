@@ -30,21 +30,11 @@ from .interferometry import (
     sigma_beta_sn_theory,
 )
 from .rng import _SUBSTREAM_STRIDE, RngStream, _at_least, _binomial_n, _real
-from .thermal import (
-    DegenerateSensitivityError,
-    TwoLevelSpec,
-    excitation_probability,
-    shot_noise_sigma_beta,
-    thermal_summary,
-)
+from .thermal import TwoLevelSpec, excitation_probability, shot_noise_sigma_beta, thermal_summary
 
 PROTOCOLS = ("thermalizing", "sn", "noon")
 MIN_FIT_POINTS = 4
 _PHASE_LIMIT = 2**16  # most phases a noon sweep keeps for noon_phase_estimates, 512 KiB of float64
-
-
-class SweepConfigError(ValueError):
-    """The sweep plan is internally inconsistent or incomplete."""
 
 
 class SweepAbortError(RuntimeError):
@@ -104,43 +94,33 @@ class SweepPlan:
     def validate(self) -> None:
         """Check every protocol invariant before any trial runs."""
         if self.protocol not in PROTOCOLS:
-            raise SweepConfigError(f"unknown protocol {self.protocol!r}; expected one of {PROTOCOLS}")
-        values = tuple(_checked(_at_least, "each of n_values", n) for n in self.n_values)
+            raise ValueError(f"unknown protocol {self.protocol!r}; expected one of {PROTOCOLS}")
+        values = tuple(_at_least("each of n_values", n) for n in self.n_values)
         if len(values) < MIN_FIT_POINTS:
-            raise SweepConfigError(
-                f"need at least {MIN_FIT_POINTS} sweep sizes for a fit, got {len(values)}"
-            )
+            raise ValueError(f"need at least {MIN_FIT_POINTS} sweep sizes for a fit, got {len(values)}")
         if any(b <= a for a, b in zip(values, values[1:])):
-            raise SweepConfigError(f"n_values must be strictly increasing, got {values}")
-        _checked(RngStream, self.master_seed)  # a 64-bit unsigned integer
+            raise ValueError(f"n_values must be strictly increasing, got {values}")
+        RngStream(self.master_seed)  # a 64-bit unsigned integer
         # one substream per trial, and a stream has 2**32 of them
-        if _checked(_at_least, "trials_per_n", self.trials_per_n, 2) > _SUBSTREAM_STRIDE:
-            raise SweepConfigError(f"trials_per_n must lie in [2, 2**32], got {self.trials_per_n}")
-        _checked(check_mode, "estimator", self.estimator, ESTIMATORS)
-        _checked(check_mode, "bath_mode", self.bath_mode, BATH_MODES)
+        if _at_least("trials_per_n", self.trials_per_n, 2) > _SUBSTREAM_STRIDE:
+            raise ValueError(f"trials_per_n must lie in [2, 2**32], got {self.trials_per_n}")
+        check_mode("estimator", self.estimator, ESTIMATORS)
+        check_mode("bath_mode", self.bath_mode, BATH_MODES)
         if self.protocol == "thermalizing":
-            _checked(_real, "beta_true", self.beta_true, False)  # refuses None too
-            _checked(_real, "epsilon", self.epsilon)
+            _real("beta_true", self.beta_true, False)  # refuses None too
+            _real("epsilon", self.epsilon)
         else:
             if self.bath is None:
-                raise SweepConfigError(f"{self.protocol} sweep needs a bath specification")
+                raise ValueError(f"{self.protocol} sweep needs a bath specification")
             if self.protocol == "noon":
-                _checked(_at_least, "repetitions", self.repetitions, 2)
+                _at_least("repetitions", self.repetitions, 2)
             # phase window must hold at the largest swept size
             require_phase_window(self.bath, max(values) if self.protocol == "noon" else 1)
         drawn = {"repetitions": self.repetitions} if self.protocol == "noon" else {"each of n_values": values[-1]}
         if self.protocol != "thermalizing" and self.bath_mode == "sampled_m":
             drawn["bath.m_atoms"] = self.bath.m_atoms
         for what, count in drawn.items():  # numpy's binomial takes each as its n, an int64
-            _checked(_binomial_n, what, count)
-
-
-def _checked(check, *args):
-    """``check(*args)``, its ValueError raised as a SweepConfigError."""
-    try:
-        return check(*args)
-    except ValueError as exc:
-        raise SweepConfigError(str(exc)) from None
+            _binomial_n(what, count)
 
 
 def _record(n: int, theory: float, betas) -> SweepRecord:
@@ -276,7 +256,7 @@ def fig1_curves(epsilon: float, beta_grid: Iterable[float]) -> list[tuple[float,
         p = excitation_probability(epsilon, beta)
         summary = thermal_summary(TwoLevelSpec(1, epsilon), beta)
         if summary.eps_prime == 0.0:
-            raise DegenerateSensitivityError(f"eps_prime underflowed to zero at beta={beta}; no response")
+            raise ValueError(f"eps_prime underflowed to zero at beta={beta}; no response")
         scaled_sigma = epsilon / math.sqrt(summary.eps_prime)
         rows.append((beta * epsilon, p, scaled_sigma))
     return rows

@@ -23,14 +23,6 @@ from dataclasses import dataclass
 from .rng import _at_least, _real
 
 
-class DegenerateSensitivityError(ValueError):
-    """The mean energy does not respond to beta, so beta cannot be inferred."""
-
-
-class UnboundedEstimateError(ValueError):
-    """An observed fraction of exactly 0 or 1 maps to an infinite beta estimate."""
-
-
 @dataclass(frozen=True)
 class TwoLevelSpec:
     """An ensemble of ``n_atoms`` independent two-level atoms with splitting ``epsilon``."""
@@ -109,9 +101,7 @@ def shot_noise_sigma_beta(spec: TwoLevelSpec, beta: float) -> float:
     """
     summary = thermal_summary(spec, beta)
     if summary.eps_prime == 0.0:
-        raise DegenerateSensitivityError(
-            "eps_prime underflowed to zero; the ensemble has no temperature response here"
-        )
+        raise ValueError("eps_prime underflowed to zero; the ensemble has no temperature response here")
     return 1.0 / math.sqrt(spec.n_atoms * summary.eps_prime)
 
 
@@ -125,16 +115,14 @@ def invert_mean_fraction(p_hat: float, epsilon: float) -> float:
     if not 0 < epsilon < math.inf:  # inline, not _real: this runs once per trial
         raise ValueError(f"epsilon must be a positive finite real, got {epsilon}")
     if p_hat <= 0.0 or p_hat >= 1.0:
-        raise UnboundedEstimateError(
-            f"fraction {p_hat} lies on or outside (0, 1); beta estimate is unbounded"
-        )
+        raise ValueError(f"fraction {p_hat} lies on or outside (0, 1); beta estimate is unbounded")
     return math.log(1.0 / p_hat - 1.0) / epsilon
 
 
 def cr_bound_sigma(fisher_info: float, repetitions: int = 1) -> float:
     """Cramér-Rao floor ``1 / sqrt(repetitions * fisher_info)`` on an estimator spread."""
     if _real("fisher_info", fisher_info, positive=False) == 0.0:
-        raise DegenerateSensitivityError("fisher_info is zero; the bound is unbounded")
+        raise ValueError("fisher_info is zero; the bound is unbounded")
     return 1.0 / math.sqrt(_at_least("repetitions", repetitions) * fisher_info)
 
 

@@ -235,13 +235,18 @@ class TestConfigFile:
 
     @pytest.mark.parametrize(
         "spelling",
-        [["--config={}"], ["--conf", "{}"], ["--config", "{}.missing", "--config", "{}"]],
-        ids=["equals", "prefix", "last-of-two"],
+        [
+            ["stats", "--config={}"],
+            ["stats", "--conf", "{}"],
+            ["stats", "--config", "{}.missing", "--config", "{}"],
+            ["--config", "{}", "stats"],
+        ],
+        ids=["equals", "prefix", "last-of-two", "before-the-subcommand"],
     )
     def test_every_spelling_argparse_takes_is_read(self, spelling, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("epsilon = 1.0\nbeta = 0.0\nn = 10\n")
-        assert run_cli("stats", *(token.format(cfg) for token in spelling)) == 0
+        assert run_cli(*(token.format(cfg) for token in spelling)) == 0
         values = dict(
             line.split("=") for line in capsys.readouterr().out.strip().splitlines()
         )
@@ -253,6 +258,23 @@ class TestConfigFile:
             run_cli("stats", "--epsilon", "1", "--beta", "1", *argv)
         assert info.value.code == 2
         assert "argument --config: expected one argument" in capsys.readouterr().err
+
+    def test_config_without_a_subcommand_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("epsilon = 1.0\nbeta = 0.0\n")
+        with pytest.raises(SystemExit) as info:
+            run_cli("--config", str(cfg))
+        assert info.value.code == 2
+        assert "the following arguments are required: command" in capsys.readouterr().err
+
+    def test_hash_inside_a_value_is_kept(self, tmp_path):
+        # only a line whose first non-blank character is '#' is a comment
+        out = tmp_path / "run#2.csv"
+        cfg = tmp_path / "fig1.cfg"
+        cfg.write_text(f"epsilon = 1.0\n  # an indented comment\nbeta_max = 10\npoints = 3\nout = {out}\n")
+        assert run_cli("fig1", "--config", str(cfg)) == 0
+        assert out.exists()
+        assert not (tmp_path / "run").exists()
 
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as info:

@@ -6,7 +6,7 @@ import pytest
 from thermoscale.estimators import estimate_beta_from_count, run_thermalizing_trials
 from thermoscale.interferometry import BathSpec, max_theta, run_interferometer_trials
 from thermoscale.rng import RngStream
-from thermoscale.sweep import SweepConfigError, SweepPlan
+from thermoscale.sweep import SweepPlan
 from thermoscale.thermal import TwoLevelSpec, shot_noise_sigma_beta, thermal_summary
 
 # frozen guard for the deterministic 1/N part of the jeffreys estimator bias,
@@ -71,7 +71,7 @@ class TestEstimateBetaFromCount:
             plans.append(SweepPlan("sn", sizes, 20, 1, bath=bath, bath_mode=bath_mode))
         # validate runs no trial, so a plan is refused before its first point
         for plan in plans:
-            with pytest.raises(SweepConfigError):
+            with pytest.raises(ValueError, match="must be one of"):
                 plan.validate()
 
 

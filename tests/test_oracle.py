@@ -4,7 +4,6 @@ import math
 import pytest
 
 from thermoscale.oracle import (
-    SizeGuardError,
     branch_phase,
     enumerate_thermal,
     mixed_bath_visibility_exact,
@@ -33,7 +32,7 @@ class TestEnumerateThermal:
         assert var == pytest.approx(s.energy_variance, rel=1e-12)
 
     def test_size_guard(self):
-        with pytest.raises(SizeGuardError):
+        with pytest.raises(ValueError, match=r"n_atoms=17 outside the integers \[1, 16\]"):
             enumerate_thermal(17, 1.0, 1.0)
 
     @pytest.mark.parametrize(
@@ -57,19 +56,19 @@ class TestBranchPhase:
         assert branch_phase(1, 3, 0.1) == 3 * 0.1
 
     def test_guards(self):
-        with pytest.raises(SizeGuardError):
+        with pytest.raises(ValueError, match=r"n_thermometer=17 outside the integers \[0, 16\]"):
             branch_phase(17, 1, 0.1)
-        with pytest.raises(SizeGuardError):
+        with pytest.raises(ValueError, match="combined size 32 exceeds 24"):
             branch_phase(16, 16, 0.1)  # combined size over the limit
         assert branch_phase(12, 12, 0.1) == 144 * 0.1
 
     def test_configuration_guards(self):
         assert branch_phase(16, 8, 0.1) == 128 * 0.1
-        with pytest.raises(SizeGuardError):
+        with pytest.raises(ValueError, match=r"n_thermometer=17 outside the integers \[0, 16\]"):
             branch_phase(17, 0, 0.1)
-        with pytest.raises(SizeGuardError):
+        with pytest.raises(ValueError, match=r"m_excited_bath=17 outside the integers \[0, 16\]"):
             branch_phase(0, 17, 0.1)
-        with pytest.raises(SizeGuardError):
+        with pytest.raises(ValueError, match="combined size 25 exceeds 24"):
             branch_phase(13, 12, 0.1)
 
 
@@ -98,7 +97,7 @@ class TestNoonProbsExact:
                 assert abs(p3 + p4 - 1.0) <= 1e-14
 
     def test_size_guard(self):
-        with pytest.raises(SizeGuardError):
+        with pytest.raises(ValueError, match=r"n_atoms=9 outside the integers \[1, 8\]"):
             noon_probs_exact(9, 0.1)
 
 
@@ -120,7 +119,7 @@ class TestMixedBathVisibilityExact:
                 assert direct == pytest.approx(closed, abs=1e-14)
 
     def test_size_guard(self):
-        with pytest.raises(SizeGuardError):
+        with pytest.raises(ValueError, match=r"m_atoms=17 outside the integers \[1, 16\]"):
             mixed_bath_visibility_exact(17, 0.5, 0.1)
 
 

@@ -4,13 +4,12 @@ import math
 
 import pytest
 
-from thermoscale.interferometry import BathSpec, PhaseWindowError, max_theta
+from thermoscale.interferometry import BathSpec, max_theta
 from thermoscale.rng import RngStream
 from thermoscale.sweep import (
     CSV_HEADER,
     ScalingFit,
     SweepAbortError,
-    SweepConfigError,
     SweepPlan,
     SweepRecord,
     bath_intrinsic_sigma,
@@ -61,52 +60,61 @@ class TestFitPowerLaw:
 
 class TestPlanValidation:
     def test_unknown_protocol(self):
-        with pytest.raises(SweepConfigError):
+        with pytest.raises(ValueError, match="unknown protocol 'cooling'"):
             SweepPlan("cooling", (1, 2, 3, 4), 10, 0, beta_true=1.0).validate()
 
     def test_too_few_points(self):
-        with pytest.raises(SweepConfigError):
+        with pytest.raises(ValueError, match="need at least 4 sweep sizes for a fit, got 3"):
             SweepPlan("thermalizing", (16, 32, 64), 10, 0, beta_true=1.0).validate()
 
     def test_nonincreasing_points(self):
-        with pytest.raises(SweepConfigError):
+        with pytest.raises(ValueError, match="n_values must be strictly increasing"):
             SweepPlan("thermalizing", (16, 32, 32, 64), 10, 0, beta_true=1.0).validate()
 
     def test_missing_beta(self):
-        with pytest.raises(SweepConfigError):
+        with pytest.raises(ValueError, match="beta_true must be a nonnegative finite real, got None"):
             SweepPlan("thermalizing", (16, 32, 64, 128), 10, 0).validate()
 
     def test_missing_bath(self):
-        with pytest.raises(SweepConfigError):
+        with pytest.raises(ValueError, match="sn sweep needs a bath specification"):
             SweepPlan("sn", (16, 32, 64, 128), 10, 0).validate()
+
+    def test_unknown_estimator(self):
+        with pytest.raises(ValueError, match="estimator must be one of"):
+            SweepPlan("thermalizing", (16, 32, 64, 128), 20, 7, beta_true=1.0, estimator="bogus").validate()
+
+    def test_sampled_bath_noon_plan_validates(self):
+        bath = BathSpec(100, 1.0, 1.0, max_theta(100, 8), 1.0)
+        SweepPlan("noon", (1, 2, 4, 8), 20, 7, bath=bath, bath_mode="sampled_m", repetitions=8).validate()
 
     def test_trials_fit_in_one_stream(self):
         # trial t draws substream t of its point's stream, which has 2^32 of them;
         # a sample spread needs at least two trials
         SweepPlan("thermalizing", (16, 32, 64, 128), 2**32, 0, beta_true=1.0).validate()
-        with pytest.raises(SweepConfigError):
+        with pytest.raises(ValueError, match="trials_per_n must be at least 2, got 1"):
             SweepPlan("thermalizing", (16, 32, 64, 128), 1, 0, beta_true=1.0).validate()
-        with pytest.raises(SweepConfigError):
+        with pytest.raises(ValueError, match=r"trials_per_n must lie in \[2, 2\*\*32\], got 4294967297"):
             SweepPlan("thermalizing", (16, 32, 64, 128), 2**32 + 1, 0, beta_true=1.0).validate()
 
     def test_trials_must_be_an_integer(self):
-        with pytest.raises(SweepConfigError):
+        with pytest.raises(ValueError, match="trials_per_n must be an integer, got 10.5"):
             SweepPlan("thermalizing", (16, 32, 64, 128), 10.5, 0, beta_true=1.0).validate()
 
     def test_sizes_must_be_integers(self):
         bath = BathSpec(100, 1.0, 1.0, max_theta(100, 8), 1.0)
-        with pytest.raises(SweepConfigError):
+        with pytest.raises(ValueError, match="each of n_values must be an integer, got 1.5"):
             SweepPlan("noon", (1.5, 2, 4, 8), 10, 0, bath=bath, repetitions=8).validate()
 
     def test_repetitions_must_be_an_integer(self):
         bath = BathSpec(100, 1.0, 1.0, max_theta(100, 8), 1.0)
-        with pytest.raises(SweepConfigError):
+        with pytest.raises(ValueError, match="repetitions must be an integer, got 2.5"):
             SweepPlan("noon", (1, 2, 4, 8), 10, 0, bath=bath, repetitions=2.5).validate()
 
     def test_master_seed_must_be_a_64_bit_integer(self):
         SweepPlan("thermalizing", (16, 32, 64, 128), 10, 2**64 - 1, beta_true=1.0).validate()
-        for seed in (-1, 2**64, 1.5, True):
-            with pytest.raises(SweepConfigError):
+        for seed, kind in [(-1, "a 64-bit unsigned integer"), (2**64, "a 64-bit unsigned integer"),
+                           (1.5, "an integer"), (True, "an integer")]:
+            with pytest.raises(ValueError, match=f"master_seed must be {kind}, got {seed}"):
                 SweepPlan("thermalizing", (16, 32, 64, 128), 10, seed, beta_true=1.0).validate()
 
     def test_integer_like_values_are_accepted(self):
@@ -124,7 +132,7 @@ class TestPlanValidation:
     )
     def test_non_finite_reals_are_refused(self, changes):
         plan = SweepPlan("thermalizing", (16, 32, 64, 128), 10, 0, **{"beta_true": 1.0, **changes})
-        with pytest.raises(SweepConfigError, match="must be a .* finite real"):
+        with pytest.raises(ValueError, match="must be a .* finite real"):
             plan.validate()
 
     # every count that a trial hands numpy's binomial as n, which numpy takes as an int64
@@ -142,14 +150,14 @@ class TestPlanValidation:
     @pytest.mark.parametrize("what", DRAWN_COUNTS)
     def test_drawn_counts_stay_below_2_63(self, what):
         self.DRAWN_COUNTS[what](2**63 - 1).validate()
-        with pytest.raises(SweepConfigError, match=r"must be below 2\*\*63, got 9223372036854775808"):
+        with pytest.raises(ValueError, match=r"must be below 2\*\*63, got 9223372036854775808"):
             self.DRAWN_COUNTS[what](2**63).validate()
 
-    def test_phase_window_checked_at_largest_size(self):
+    def test_phase_window_refused_at_largest_size(self):
         bath = BathSpec(100, 1.0, 1.0, max_theta(100, 8), 1.0)
         SweepPlan("noon", (2, 4, 8), 10, 0, bath=bath, repetitions=8)  # no validate yet
         plan = SweepPlan("noon", (2, 4, 8, 16), 10, 0, bath=bath, repetitions=8)
-        with pytest.raises(PhaseWindowError):
+        with pytest.raises(ValueError, match="phase window violated"):
             plan.validate()
 
 
