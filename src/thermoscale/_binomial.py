@@ -1,7 +1,7 @@
 """numpy's binomial sampler as array code over the first Philox block of each substream.
 
-:meth:`thermoscale.rng.RngStream.binomials`, and the draw behind it that takes all
-fixed-bath points of a sweep at once, call :func:`first_block_binomials`. It computes
+``thermoscale.rng.RngStream._binomials``, the draw that takes all fixed-bath points
+of a sweep at once, calls :func:`first_block_binomials`. It computes
 the first Philox4x64-10 block of every substream of every point in one array pass, as
 they share one key (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11),
 and runs numpy's BTPE sampler (Kachitvichyanukul & Schmeiser, CACM 31(2), 1988) on its

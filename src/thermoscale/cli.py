@@ -45,23 +45,24 @@ def _build_parser(config: argparse.ArgumentParser) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="thermoscale",
         description="Precision scaling of two-level-ensemble thermometers.",
+        parents=[config],  # only so that --help lists --config: _merge_config has taken it out of argv
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    stats = sub.add_parser("stats", parents=[config], help="closed-form thermal summary as key=value lines")
+    stats = sub.add_parser("stats", help="closed-form thermal summary as key=value lines")
     stats.set_defaults(run=_cmd_stats)
     stats.add_argument("--epsilon", type=float, required=True)
     stats.add_argument("--beta", type=float, required=True)
     stats.add_argument("--n", type=int, default=1)
 
-    fig1 = sub.add_parser("fig1", parents=[config], help="scaled-uncertainty curve table as CSV")
+    fig1 = sub.add_parser("fig1", help="scaled-uncertainty curve table as CSV")
     fig1.set_defaults(run=_cmd_fig1)
     fig1.add_argument("--epsilon", type=float, required=True)
     fig1.add_argument("--beta-max", type=float, required=True)
     fig1.add_argument("--points", type=int, required=True)
     fig1.add_argument("--out", required=True)
 
-    sweep = sub.add_parser("sweep", parents=[config], help="run a scaling campaign and write records")
+    sweep = sub.add_parser("sweep", help="run a scaling campaign and write records")
     sweep.set_defaults(run=_cmd_sweep)
     sweep.add_argument("--protocol", choices=PROTOCOLS, required=True)
     sweep.add_argument("--n-values", required=True, help="comma-separated sizes, e.g. 16,32,64,128")
@@ -78,10 +79,10 @@ def _build_parser(config: argparse.ArgumentParser) -> argparse.ArgumentParser:
     sweep.add_argument("--out", required=True)
     sweep.add_argument("--format", choices=["csv", "jsonl"], default="csv")
 
-    verify = sub.add_parser("verify", parents=[config], help="run the brute-force oracle equivalence suite")
+    verify = sub.add_parser("verify", help="run the brute-force oracle equivalence suite")
     verify.set_defaults(run=_cmd_verify)
 
-    deph = sub.add_parser("dephasing", parents=[config], help="fringe visibility under per-shot bath resampling")
+    deph = sub.add_parser("dephasing", help="fringe visibility under per-shot bath resampling")
     deph.set_defaults(run=_cmd_dephasing)
     deph.add_argument("--bath-m", type=int, required=True)
     deph.add_argument("--theta", type=float, required=True)
@@ -114,11 +115,9 @@ def _load_config_flags(path: str) -> list[str]:
 
 
 def _merge_config(argv: list[str], config: argparse.ArgumentParser) -> list[str]:
-    """Insert config-file flags right after the subcommand, wherever ``--config`` stood, so CLI flags win."""
-    try:
-        known, rest = config.parse_known_args(argv)
-    except argparse.ArgumentError:  # --config without a value, left to the subcommand parser
-        return argv
+    """Insert config-file flags right after the subcommand, wherever ``--config`` stood, so CLI flags win;
+    a file's own ``config`` line becomes a flag that no subcommand knows, a usage error."""
+    known, rest = config.parse_known_args(argv)
     if known.config is None:
         return argv
     if not rest:  # no subcommand to read the file for: the full parser reports it missing
@@ -285,14 +284,12 @@ def _cmd_dephasing(args: argparse.Namespace) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    # the one --config flag, a parent of every subcommand; exit_on_error=False makes a --config
-    # without a path raise ArgumentError in _merge_config instead of exiting there
-    config = argparse.ArgumentParser(add_help=False, exit_on_error=False)
-    config.add_argument("--config", default=None)
+    # the one reader of --config, wherever it stands: a --config without a path is its usage error
+    config = argparse.ArgumentParser(prog="thermoscale", add_help=False)
+    config.add_argument("--config", default=None, help="read flags from a 'key = value' file")
     parser = _build_parser(config)
     try:
-        merged = _merge_config(argv, config)
-        args = parser.parse_args(merged)
+        args = parser.parse_args(_merge_config(argv, config))
         return args.run(args)
     except ModuleNotFoundError as exc:
         # only the trial engines import numpy: without it a sweep cannot start,

@@ -18,19 +18,13 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
-from .rng import RngStream, _binomial_n, _index
+from .rng import RngStream, _binomial_n, _index, _one_of
 from .thermal import TwoLevelSpec, excitation_probability, invert_mean_fraction
 
 if TYPE_CHECKING:
     import numpy as np
 
 ESTIMATORS = ("raw", "jeffreys")
-
-
-def check_mode(name: str, value: str, allowed: tuple[str, ...]) -> None:
-    """Refuse a mode that is not one of the strings ``allowed``, spelled exactly."""
-    if value not in allowed:
-        raise ValueError(f"{name} must be one of {allowed}, got {value!r}")
 
 
 def estimate_beta_from_count(
@@ -59,7 +53,7 @@ def estimate_beta_from_count(
     if mode == "jeffreys":
         p_hat = (k + 0.5) / (n_atoms + 1.0)
     else:
-        check_mode("estimator", mode, ESTIMATORS)
+        _one_of("estimator", mode, ESTIMATORS)
         if k == 0 or k == n_atoms:
             return math.nan
         p_hat = k / n_atoms
@@ -86,13 +80,13 @@ def run_thermalizing_trials(
     call, although at most ``n_atoms + 1`` distinct counts occur:
     ``perfbench/selftest.py`` requires one stream step, one estimator call and
     one inversion per thermalizing trial. The counts alone could come from
-    :meth:`~thermoscale.rng.RngStream.binomials`, bit for bit the same, as the
+    one ``RngStream._binomials`` draw, bit for bit the same, as the
     fixed-bath interferometric trials do; ROADMAP.md open item 2 moves this
     loop to it once the benchmark counts trials instead of calls.
     """
     import numpy as np
 
-    check_mode("estimator", mode, ESTIMATORS)
+    _one_of("estimator", mode, ESTIMATORS)
     n_atoms, epsilon = _binomial_n("spec.n_atoms", spec.n_atoms), spec.epsilon
     p = excitation_probability(epsilon, beta_true)
     return np.array(

@@ -15,7 +15,7 @@ statistics:
 One engine, :func:`run_interferometer_trials`, runs both: the single-atom
 protocol is the entangled one with one atom and one shot per probe. With a
 fixed bath the port probability is the same for every trial of a point, so
-all port counts come from one array draw, :meth:`~thermoscale.rng.RngStream.binomials`,
+all port counts come from one array draw, ``RngStream._binomials``,
 bit for bit numpy's binomial on each trial's substream; a sweep draws all its
 fixed-bath points at once. With a sampled bath each trial still positions its
 stream and draws ``m`` and then the port count in a Python loop:
@@ -23,10 +23,10 @@ stream and draws ``m`` and then the port count in a Python loop:
 The phase and beta estimates are computed once per distinct port count and
 gathered into per-trial float64 arrays.
 
-The last ``noon`` sweep of at most 2**16 phases (512 KiB) keeps them until the next ``noon``
-sweep, and a larger sweep keeps none. A point's phases go to the first identical request of
-:func:`noon_phase_estimates`, bit for bit a fresh simulation (trial t is a function of substream
-t alone); a repeated or different request misses and simulates, which only costs time.
+This module alone keeps the phases of the last ``noon`` sweep run to its end, until the next one,
+if it drew at most 2**16 phases (512 KiB); a larger one keeps none. A point's phases go to the first
+identical request of :func:`noon_phase_estimates`, bit for bit a fresh simulation (trial t is a function
+of substream t alone); a repeated or different request misses and simulates, which only costs time.
 
 Both close the interferometer with the same splitter convention, modelled on
 the two-dimensional subspace of "all atoms in arm 3" / "all atoms in arm 4"
@@ -66,8 +66,8 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
-from .estimators import ESTIMATORS, check_mode
-from .rng import RngStream, _at_least, _binomial_n, _index, _real
+from .estimators import ESTIMATORS
+from .rng import RngStream, _at_least, _binomial_n, _index, _one_of, _real
 from .thermal import excitation_probability
 
 if TYPE_CHECKING:
@@ -75,6 +75,7 @@ if TYPE_CHECKING:
 
 PHASE_WINDOW_MARGIN = 1e-3
 BATH_MODES = ("fixed_m", "sampled_m")
+_PHASE_LIMIT = 2**16  # most phases a noon sweep keeps for noon_phase_estimates, 512 KiB of float64
 _phase_store: dict[tuple, np.ndarray] = {}  # the last noon sweep's phases by request key
 
 
@@ -178,10 +179,10 @@ def _request(bath, n_atoms, shots, trials, mode, rng, estimator) -> tuple:
     under which a sweep keeps a noon point's phases for :func:`noon_phase_estimates`."""
     n_atoms, shots = _at_least("n_atoms", n_atoms), _binomial_n("shots", shots)
     require_phase_window(bath, n_atoms)
-    check_mode("bath mode", mode, BATH_MODES)
+    _one_of("bath mode", mode, BATH_MODES)
     if mode == "sampled_m":  # the one mode that draws the bath count
         _binomial_n("bath.m_atoms", bath.m_atoms)
-    check_mode("estimator", estimator, ESTIMATORS)
+    _one_of("estimator", estimator, ESTIMATORS)
     return (bath, n_atoms, shots, _at_least("count", trials, low=0), mode, rng, estimator)
 
 
@@ -215,7 +216,7 @@ def run_interferometer_trials(
     ``theta * m``, with ``delta`` subtracted again (always finite, and negative
     where the count lies beyond the reference point), and the beta estimates,
     NaN where the inferred count leaves ``(0, m_atoms)``. A fixed bath draws
-    every port count in one call of :meth:`~thermoscale.rng.RngStream.binomials`;
+    every port count in one ``RngStream._binomials`` call;
     a sampled bath loops over the substreams. Both estimates are then computed
     once per distinct port count, as the inversion depends on the count alone.
     """
@@ -223,11 +224,16 @@ def run_interferometer_trials(
     return next(_run_points(bath, [(n_atoms, shots, rng)], trials, mode, estimator))
 
 
-def _run_points(bath: BathSpec, points: list, trials: int, mode: str, estimator: str) -> Iterator[tuple]:
+def _run_points(bath: BathSpec, points: list, trials: int, mode: str, estimator: str,
+                noon: bool = False) -> Iterator[tuple]:
     """Yield :func:`run_interferometer_trials` of each checked ``(n_atoms, shots, stream)`` of ``points``
-    (one master seed); a fixed bath draws all their counts in one call, a sampled bath each as it is taken."""
+    (one master seed); a fixed bath draws all their counts in one call, a sampled bath each as it is taken.
+    A ``noon`` sweep resumed past its last point replaces the kept phases with its own (none above
+    ``_PHASE_LIMIT``); one that aborts before that leaves them."""
+    global _phase_store
     import numpy as np
 
+    keep, kept = noon and len(points) * trials <= _PHASE_LIMIT, {}
     raw, theta, m_atoms = estimator == "raw", bath.theta, bath.m_atoms
     deltas = [reference_phase(bath, n_atoms) for n_atoms, _, _ in points]
     if mode == "fixed_m":
@@ -249,13 +255,12 @@ def _run_points(bath: BathSpec, points: list, trials: int, mode: str, estimator:
             phi = _phase_from_port_fraction(k / shots if raw else (k + 0.5) / (shots + 1.0), n_atoms, delta)
             phases[i], betas[i] = phi, _beta_from_phase(phi, bath)
         index = np.searchsorted(distinct, counts)
-        yield phases[index], betas[index]
-
-
-def _keep_noon_phases(kept: dict) -> None:
-    """Replace the kept phases with ``kept``, a completed noon sweep's, in one rebinding."""
-    global _phase_store
-    _phase_store = kept
+        phases, betas = phases[index], betas[index]
+        if keep:
+            kept[_request(bath, n_atoms, shots, trials, mode, stream, estimator)] = phases
+        yield phases, betas
+    if noon:
+        _phase_store = kept  # one rebinding, so a concurrent request sees one sweep's phases or the other's
 
 
 def noon_phase_estimates(

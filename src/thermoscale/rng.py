@@ -8,19 +8,19 @@ statistically independent draws whose values do not depend on the order in
 which streams are consumed. Campaigns derive one substream per trial, which
 makes batch results invariant under any execution schedule.
 
-:meth:`RngStream.binomials` draws one binomial count per substream as array
-code and gives exactly what numpy's ``Generator.binomial`` gives on each
-substream (see :mod:`thermoscale._binomial`); a trial that the first Philox
-block of its substream does not finish, and every trial of a batch where
+``RngStream._binomials`` draws one binomial count per substream of one or more
+streams as array code and gives exactly what numpy's ``Generator.binomial`` gives
+on each substream (see :mod:`thermoscale._binomial`); a trial that the first Philox
+block of its substream does not finish, and every trial of a group where
 numpy inverts the CDF (``min(p, 1 - p) * n <= 30``), is drawn by numpy.
 
 numpy is imported by the methods that build a generator or draw, not by the
 module, so the closed forms and oracles run without it.
 
-The package checks its arguments with the private helpers here, each raising a ValueError
-that names the argument: ``_index`` (an integer, no bool), ``_at_least`` (such an integer,
-at least a bound, that ``float()`` takes), ``_binomial_n`` (such an integer below 2**63, as
-numpy's binomial takes it) and ``_real`` (a finite positive or nonnegative float).
+The package checks its arguments with the private helpers here, each raising a ValueError that names
+the argument: ``_index`` (an integer, no bool), ``_at_least`` (such an integer, at least a bound, that
+``float()`` takes), ``_binomial_n`` (such an integer below 2**63, as numpy's binomial takes it), ``_real``
+(a finite positive or nonnegative float) and ``_one_of`` (one of a tuple of strings, spelled exactly).
 """
 
 from __future__ import annotations
@@ -80,6 +80,12 @@ def _real(what: str, value, positive: bool = True) -> float:
     raise ValueError(f"{what} must be a {sign} finite real, got {value!r}")
 
 
+def _one_of(what: str, value: str, allowed: tuple[str, ...]) -> None:
+    """Refuse a ``value`` that is not one of the strings ``allowed``, spelled exactly."""
+    if value not in allowed:
+        raise ValueError(f"{what} must be one of {allowed}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class RngStream:
     """A named position in Philox counter space.
@@ -132,22 +138,11 @@ class RngStream:
         base = self._first_substream(count)
         return self._positioned(range(base, base + count))
 
-    def binomials(self, count: int, n: int, p: float) -> np.ndarray:
-        """``[g.binomial(n, p) for g in self.generators(count)]`` as an int64 array.
-
-        The counts are bit for bit numpy's, drawn as array code from the first
-        Philox block of each substream (see :mod:`thermoscale._binomial`); the
-        few trials that need more than one block, and all of a batch with
-        ``min(p, 1 - p) * n <= 30``, are drawn by numpy. A sweep draws all its fixed-bath
-        points in one such call over their streams. Refuses what ``Generator.binomial``
-        refuses, ``n < 0`` and ``p`` outside ``[0, 1]`` or NaN, and what
-        :meth:`generators` refuses, all at the call.
-        """
-        return RngStream._binomials(count, [(self, n, p)])[0]
-
     @staticmethod
     def _binomials(count: int, draws: list[tuple["RngStream", int, float]]) -> np.ndarray:
-        """Row g: ``stream.binomials(count, n, p)`` of ``draws[g]``, streams of one seed, in one pass."""
+        """Row g: ``[gen.binomial(n, p) for gen in stream.generators(count)]`` of ``draws[g]``, bit for bit,
+        for streams of one master seed in one array pass; refuses at the call what ``Generator.binomial``
+        (``n < 0``, ``p`` outside ``[0, 1]`` or NaN) and :meth:`generators` refuse."""
         groups = []
         for stream, n, p in draws:
             base = stream._first_substream(count)

@@ -18,23 +18,20 @@ import math
 from dataclasses import dataclass, fields
 from typing import Iterable, Optional, Sequence, TextIO
 
-from .estimators import ESTIMATORS, check_mode, run_thermalizing_trials
+from .estimators import ESTIMATORS, run_thermalizing_trials
 from .interferometry import (
     BATH_MODES,
     BathSpec,
-    _keep_noon_phases,
-    _request,
     _run_points,
     require_phase_window,
     sigma_beta_h_theory,
     sigma_beta_sn_theory,
 )
-from .rng import _SUBSTREAM_STRIDE, RngStream, _at_least, _binomial_n, _real
+from .rng import _SUBSTREAM_STRIDE, RngStream, _at_least, _binomial_n, _one_of, _real
 from .thermal import TwoLevelSpec, excitation_probability, shot_noise_sigma_beta, thermal_summary
 
 PROTOCOLS = ("thermalizing", "sn", "noon")
 MIN_FIT_POINTS = 4
-_PHASE_LIMIT = 2**16  # most phases a noon sweep keeps for noon_phase_estimates, 512 KiB of float64
 
 
 class SweepAbortError(RuntimeError):
@@ -104,8 +101,8 @@ class SweepPlan:
         # one substream per trial, and a stream has 2**32 of them
         if _at_least("trials_per_n", self.trials_per_n, 2) > _SUBSTREAM_STRIDE:
             raise ValueError(f"trials_per_n must lie in [2, 2**32], got {self.trials_per_n}")
-        check_mode("estimator", self.estimator, ESTIMATORS)
-        check_mode("bath_mode", self.bath_mode, BATH_MODES)
+        _one_of("estimator", self.estimator, ESTIMATORS)
+        _one_of("bath_mode", self.bath_mode, BATH_MODES)
         if self.protocol == "thermalizing":
             _real("beta_true", self.beta_true, False)  # refuses None too
             _real("epsilon", self.epsilon)
@@ -165,16 +162,10 @@ def collect_sweep_records(plan: SweepPlan) -> list[SweepRecord]:
     else:
         theories = [sigma_beta_h_theory(bath, n) / math.sqrt(plan.repetitions) for n in plan.n_values]
         points = [(n, plan.repetitions, s) for n, s in zip(plan.n_values, streams)]
-    # a noon sweep keeps its points' phases for noon_phase_estimates, unless they exceed the limit
-    keep, kept = plan.protocol == "noon" and len(points) * trials <= _PHASE_LIMIT, {}
-    records, results = [], _run_points(bath, points, trials, mode, estimator)
-    for n, theory, (n_atoms, shots, s), (phases, betas) in zip(plan.n_values, theories, points, results):
-        if keep:
-            kept[_request(bath, n_atoms, shots, trials, mode, s, estimator)] = phases
-        records.append(_record(n, theory, betas))
-    if plan.protocol == "noon":  # only a completed sweep replaces the last one's phases
-        _keep_noon_phases(kept)
-    return records
+    results = _run_points(bath, points, trials, mode, estimator, noon=plan.protocol == "noon")
+    # the engine leads the zip, so it runs past its last point, where a noon sweep hands its phases
+    # to noon_phase_estimates, only once every record is built: an abort leaves the kept phases
+    return [_record(n, theory, betas) for (_, betas), n, theory in zip(results, plan.n_values, theories)]
 
 
 def fit_power_law(points: Sequence[tuple[int, float]]) -> ScalingFit:

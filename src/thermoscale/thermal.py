@@ -114,7 +114,7 @@ def invert_mean_fraction(p_hat: float, epsilon: float) -> float:
     """
     if not 0 < epsilon < math.inf:  # inline, not _real: this runs once per trial
         raise ValueError(f"epsilon must be a positive finite real, got {epsilon}")
-    if p_hat <= 0.0 or p_hat >= 1.0:
+    if not 0.0 < p_hat < 1.0:  # NaN too
         raise ValueError(f"fraction {p_hat} lies on or outside (0, 1); beta estimate is unbounded")
     return math.log(1.0 / p_hat - 1.0) / epsilon
 

@@ -281,27 +281,31 @@ class TestConfigFile:
             run_cli("explode")
         assert info.value.code == 2
 
+    def test_config_line_naming_another_file_exits_2(self, tmp_path, capsys):
+        # only the command line's --config is read: a file's own is a flag no subcommand knows
+        cfg = tmp_path / "nested.cfg"
+        cfg.write_text("epsilon = 1.0\nbeta = 0.0\nconfig = /no/such.cfg\n")
+        with pytest.raises(SystemExit) as info:
+            run_cli("stats", "--config", str(cfg))
+        assert info.value.code == 2
+        assert "unrecognized arguments: --config /no/such.cfg" in capsys.readouterr().err
+
 
 @pytest.fixture
 def drawn_streams(monkeypatch):
     """The streams that trials draw from, recorded as every draw path is entered."""
     streams = []
-    generators, binomials, draw = RngStream.generators, RngStream.binomials, RngStream._binomials
+    generators, draw = RngStream.generators, RngStream._binomials
 
     def spy(self, count):
         streams.append(self)
         return generators(self, count)
-
-    def binomials_spy(self, count, n, p):
-        streams.append(self)
-        return binomials(self, count, n, p)
 
     def draw_spy(count, draws):  # the draw a sweep takes all its fixed-bath points through
         streams.extend(stream for stream, _, _ in draws)
         return draw(count, draws)
 
     monkeypatch.setattr(RngStream, "generators", spy)
-    monkeypatch.setattr(RngStream, "binomials", binomials_spy)
     monkeypatch.setattr(RngStream, "_binomials", staticmethod(draw_spy))
     return streams
 

@@ -6,7 +6,7 @@ import threading
 import numpy as np
 import pytest
 
-from thermoscale import interferometry, sweep
+from thermoscale import interferometry
 from thermoscale.interferometry import (
     BathSpec,
     _beta_from_phase,
@@ -447,10 +447,10 @@ class TestPhaseHandoff:
         assert not interferometry._phase_store
 
     def test_point_above_limit_is_kept_nowhere(self, monkeypatch):
-        monkeypatch.setattr(sweep, "_PHASE_LIMIT", 800)  # the plan's 4 points x 200 trials: kept
+        monkeypatch.setattr(interferometry, "_PHASE_LIMIT", 800)  # the plan's 4 points x 200 trials: kept
         collect_sweep_records(self.PLAN)
         assert len(interferometry._phase_store) == 4
-        monkeypatch.setattr(sweep, "_PHASE_LIMIT", 799)  # one phase short: the sweep keeps none
+        monkeypatch.setattr(interferometry, "_PHASE_LIMIT", 799)  # one phase short: the sweep keeps none
         collect_sweep_records(self.PLAN)
         assert not interferometry._phase_store
 

@@ -148,8 +148,13 @@ BINOMIAL_CASES = {
 }
 
 
+def draw(stream, count, n, p):
+    """The counts of ``count`` substreams of one stream, through the array draw a sweep takes."""
+    return RngStream._binomials(count, [(stream, n, p)])[0]
+
+
 def spy_redraws(monkeypatch):
-    """Record the substreams that binomials hands back to numpy."""
+    """Record the substreams that the array draw hands back to numpy."""
     redrawn = []
     positioned = RngStream._positioned
 
@@ -167,7 +172,7 @@ def spy_redraws(monkeypatch):
 def test_binomials_match_the_generators_loop(stream, n, p, monkeypatch):
     loop = [gen.binomial(n, p) for gen in stream.generators(3000)]
     redrawn = spy_redraws(monkeypatch)
-    drawn = stream.binomials(3000, n, p)
+    drawn = draw(stream, 3000, n, p)
     assert drawn.dtype == np.int64 and drawn.shape == (3000,)
     assert drawn.tolist() == loop
     if min(p, 1.0 - p) * n > 30:
@@ -180,7 +185,7 @@ def test_binomials_match_the_generators_loop(stream, n, p, monkeypatch):
 def test_binomials_of_zero_and_one_trials(count):
     stream = RngStream(2**63 + 5)
     for n, p in [(200, 0.47), (50, 0.3)]:
-        drawn = stream.binomials(count, n, p)
+        drawn = draw(stream, count, n, p)
         assert drawn.dtype == np.int64
         assert drawn.tolist() == [gen.binomial(n, p) for gen in stream.generators(count)]
 
@@ -194,7 +199,7 @@ def test_binomials_of_few_trials_over_many_seeds():
         for count in (1, 2, 3):
             for n, p in [(200, 0.47), (5000, 0.5)]:
                 loop = [gen.binomial(n, p) for gen in stream.generators(count)]
-                assert stream.binomials(count, n, p).tolist() == loop, (seed, count, n, p)
+                assert draw(stream, count, n, p).tolist() == loop, (seed, count, n, p)
 
 
 def test_binomials_draw_through_numpy_under_another_numpy(monkeypatch):
@@ -202,7 +207,7 @@ def test_binomials_draw_through_numpy_under_another_numpy(monkeypatch):
     loop = [gen.binomial(200, 0.47) for gen in stream.generators(50)]
     monkeypatch.setattr("thermoscale._binomial.MIRRORS_NUMPY", False)
     redrawn = spy_redraws(monkeypatch)
-    assert stream.binomials(50, 200, 0.47).tolist() == loop
+    assert draw(stream, 50, 200, 0.47).tolist() == loop
     assert len(redrawn) == 50
 
 
@@ -213,7 +218,7 @@ def test_binomials_draw_through_numpy_under_another_numpy(monkeypatch):
 )
 def test_binomials_refuse_what_numpy_refuses(n, p):
     with pytest.raises(ValueError):
-        RngStream(3).binomials(10, n, p)
+        draw(RngStream(3), 10, n, p)
     if isinstance(n, int):
         with pytest.raises(ValueError):
             RngStream(3).generator().binomial(n, p)
@@ -241,7 +246,7 @@ def test_engines_refuse_what_numpy_cannot_draw(call):
 @pytest.mark.parametrize("count", [-1, 2**32 + 1, 2.5, True])
 def test_binomials_validate_the_count(count):
     with pytest.raises(ValueError):
-        RngStream(9).binomials(count, 10, 0.5)
+        draw(RngStream(9), count, 10, 0.5)
 
 
 # the groups of one multi-stream draw: p on both sides of 1/2, an inversion-regime
@@ -265,7 +270,7 @@ def test_multi_stream_draw_matches_each_stream(stream, count, mirrors, monkeypat
     drawn = RngStream._binomials(count, draws)
     assert drawn.dtype == np.int64 and drawn.shape == (len(draws), count)
     for row, (s, n, p) in zip(drawn.tolist(), draws):
-        assert row == s.binomials(count, n, p).tolist() == [gen.binomial(n, p) for gen in s.generators(count)]
+        assert row == draw(s, count, n, p).tolist() == [gen.binomial(n, p) for gen in s.generators(count)]
 
 
 @pytest.mark.parametrize("protocol", ["noon", "sn"])

@@ -191,6 +191,8 @@ class TestInvertMeanFraction:
             invert_mean_fraction(0.0, 1.0)
         with pytest.raises(ValueError, match=r"on or outside \(0, 1\)"):
             invert_mean_fraction(1.0, 1.0)
+        with pytest.raises(ValueError, match=r"on or outside \(0, 1\)"):
+            invert_mean_fraction(float("nan"), 1.0)
 
     def test_round_trip(self):
         for eps in EPSILONS:
