@@ -177,24 +177,23 @@ def _btpe_twice(doubles: np.ndarray, ns: tuple, rs: tuple) -> tuple[np.ndarray, 
 
 
 def _pmf_ratios(ys: np.ndarray, m: int, a: float, s: float) -> np.ndarray:
-    """BTPE's Step-50 factor ``F`` for each count ``ys``, from a table built
-    for the batch in numpy's loop order: ``F`` starts at 1 and is multiplied
-    by ``a / i - s`` for ``i = m+1 .. y``, or divided by it for ``i = y+1 ..
-    m``. A ufunc's accumulate applies its operation element by element in
-    order, so each entry rounds as numpy's loop does. The table spans ``m``
-    too: a small batch may hold counts on one side of it only."""
-    lo, hi = min(int(ys.min()), m), max(int(ys.max()), m)
-    factors = a / np.arange(lo + 1, hi + 1) - s
-    table = np.ones(hi - lo + 1)
-    table[m - lo + 1 :] = np.multiply.accumulate(factors[m - lo :])
-    # offsets y - lo of the distinct counts below m
-    below = np.flatnonzero(np.bincount((ys - lo).ravel(), minlength=m - lo)[: m - lo]).tolist()
-    if below:
-        # one row per count: 1, then 1 for each i <= y (dividing by 1 is exact), then the divisors
-        steps = np.ones((len(below), m - lo + 1))
-        for row, offset in zip(steps, below):
-            row[offset + 1 :] = factors[offset : m - lo]
-        table[below] = np.divide.accumulate(steps, axis=1)[:, -1]
+    """BTPE's Step-50 factor ``F`` for each count ``ys``, in numpy's loop order
+    and Python floats, once per distinct count: ``F`` starts at 1 and is
+    multiplied by ``a / i - s`` for ``i = m+1 .. y`` (one running product over
+    the sorted counts above ``m``), or divided by it for ``i = y+1 .. m`` (a
+    fresh chain for each count below ``m``)."""
+    lo = int(ys.min())
+    table, above, i = np.empty(int(ys.max()) - lo + 1), 1.0, m
+    for y in (np.flatnonzero(np.bincount((ys - lo).ravel())) + lo).tolist():
+        if y < m:
+            below = 1.0
+            for j in range(y + 1, m + 1):
+                below /= a / j - s
+            table[y - lo] = below
+        else:
+            for i in range(i + 1, y + 1):  # on from the last count above m
+                above *= a / i - s
+            table[y - lo] = above
     return table[ys - lo]
 
 

@@ -94,7 +94,7 @@ def _build_parser(config: argparse.ArgumentParser) -> argparse.ArgumentParser:
 
 
 def _load_config_flags(path: str) -> list[str]:
-    """Turn ``key = value`` lines into the equivalent flag list; a line starting with ``#`` is a comment."""
+    """Turn each ``key = value`` line into the token ``--key=value``; a line starting with ``#`` is a comment."""
     flags: list[str] = []
     try:
         with open(path) as handle:
@@ -110,7 +110,7 @@ def _load_config_flags(path: str) -> list[str]:
         key, value = (part.strip() for part in line.split("=", 1))
         if not key or not value:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        flags.extend([f"--{key.replace('_', '-')}", value])
+        flags.append(f"--{key.replace('_', '-')}={value}")  # one token: a flag that takes no value refuses it
     return flags
 
 

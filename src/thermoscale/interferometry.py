@@ -249,12 +249,11 @@ def _run_points(bath: BathSpec, points: list, trials: int, mode: str, estimator:
                 m = gen.binomial(m_atoms, bath.excitation)
                 draws.append(gen.binomial(shots, noon_outcome_probability(n_atoms, theta * m + offset)))
             counts = np.array(draws)
-        distinct = sorted(set(counts.tolist()))
+        distinct, index = np.unique(counts, return_inverse=True)
         phases, betas = np.empty((2, len(distinct)), dtype=float)
-        for i, k in enumerate(distinct):
+        for i, k in enumerate(distinct.tolist()):
             phi = _phase_from_port_fraction(k / shots if raw else (k + 0.5) / (shots + 1.0), n_atoms, delta)
             phases[i], betas[i] = phi, _beta_from_phase(phi, bath)
-        index = np.searchsorted(distinct, counts)
         phases, betas = phases[index], betas[index]
         if keep:
             kept[_request(bath, n_atoms, shots, trials, mode, stream, estimator)] = phases
@@ -338,7 +337,8 @@ def measure_fringe_visibility(
 
     Scans a reference phase over ``phase_points`` even steps of ``[0, 2*pi)``,
     estimates the port probability at each step from ``shots / phase_points``
-    single shots (each with a freshly drawn bath count), and reads the fringe
+    single shots (each with a freshly drawn bath count; phase point ``j`` draws
+    from ``rng.substream(j)``, through :meth:`RngStream.generators`), and reads the fringe
     amplitude off the first Fourier coefficient, which is exact on an even
     grid of three or more points.
     """
@@ -348,9 +348,8 @@ def measure_fringe_visibility(
     shots_per_point = _at_least("shots", shots, low=phase_points) // phase_points
     m_atoms, p = _binomial_n("bath.m_atoms", bath.m_atoms), bath.excitation
     coefficient = 0.0 + 0.0j
-    for j in range(phase_points):
+    for j, gen in enumerate(rng.generators(phase_points)):
         delta = 2.0 * math.pi * j / phase_points
-        gen = rng.substream(j).generator()
         ms = gen.binomial(m_atoms, p, size=shots_per_point)
         port_probs = np.cos((n_atoms * bath.theta * ms + delta) / 2.0) ** 2
         hits = gen.random(shots_per_point) < port_probs

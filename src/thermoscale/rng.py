@@ -6,7 +6,9 @@ generator, so a stream is nothing more than a region of its counter space:
 distinct indices select disjoint counter blocks and therefore produce
 statistically independent draws whose values do not depend on the order in
 which streams are consumed. Campaigns derive one substream per trial, which
-makes batch results invariant under any execution schedule.
+makes batch results invariant under any execution schedule. ``RngStream._positioned``
+is the one place that builds a numpy ``Philox`` or moves it to a substream;
+``generator``, ``generators`` and the redraws of ``_binomials`` all go through it.
 
 ``RngStream._binomials`` draws one binomial count per substream of one or more
 streams as array code and gives exactly what numpy's ``Generator.binomial`` gives
@@ -117,19 +119,15 @@ class RngStream:
         return RngStream(self.master_seed, self.stream_index * _SUBSTREAM_STRIDE + index)
 
     def generator(self) -> np.random.Generator:
-        """A fresh Generator positioned at the start of this stream's counter block."""
-        import numpy as np
-
-        bitgen = np.random.Philox(key=self.master_seed, counter=self.stream_index << 128)
-        return np.random.Generator(bitgen)
+        """A fresh Generator positioned at the start of this stream's counter block, by :meth:`_positioned`."""
+        return next(self._positioned([self.stream_index]))
 
     def generators(self, count: int) -> Iterator[np.random.Generator]:
         """Yield the generators of substreams ``0 .. count-1``, in order.
 
-        Bit-identical to ``self.substream(i).generator()``. One Philox instance
-        is reused: each step writes the substream index into the counter words
-        of a list-valued state dict, which also discards any buffered output,
-        and assigns it, far cheaper than building a Philox per trial. The
+        Bit-identical to ``self.substream(i).generator()``: both come from
+        :meth:`_positioned`, which reuses one Philox instance and moves it by
+        assigning its state, far cheaper than building a Philox per trial. The
         yielded generator is repositioned on the next iteration, so each one
         must be fully consumed before the loop advances. The arguments are
         checked at the call, before any generator is yielded; ``count`` may not
@@ -168,7 +166,9 @@ class RngStream:
         return base
 
     def _positioned(self, indices: Iterable[int]) -> Iterator[np.random.Generator]:
-        """One generator, positioned in turn at the start of each absolute substream index."""
+        """One generator, positioned in turn at the start of each absolute substream index: the one place
+        that builds or moves a Philox. Each step writes the index into the counter words of a list-valued
+        state dict, which also discards any buffered output, and assigns it."""
         import numpy as np
 
         bitgen = np.random.Philox(key=self.master_seed)

@@ -288,7 +288,19 @@ class TestConfigFile:
         with pytest.raises(SystemExit) as info:
             run_cli("stats", "--config", str(cfg))
         assert info.value.code == 2
-        assert "unrecognized arguments: --config /no/such.cfg" in capsys.readouterr().err
+        assert "unrecognized arguments: --config=/no/such.cfg" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["help", "h"])
+    def test_config_help_line_exits_2(self, key, tmp_path, capsys):
+        # a line is one --key=value token, so a flag that takes no value refuses it
+        cfg = tmp_path / "help.cfg"
+        cfg.write_text(f"epsilon = 1.0\nbeta = 1.0\n{key} = yes\n")
+        with pytest.raises(SystemExit) as info:
+            run_cli("stats", "--config", str(cfg))
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument -h/--help: ignored explicit argument 'yes'" in captured.err
 
 
 @pytest.fixture

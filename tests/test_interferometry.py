@@ -650,3 +650,9 @@ class TestReproducibility:
             assert np.array_equal(betas, expected, equal_nan=True), (mode, estimator)
             if estimator == "raw":
                 assert np.isnan(expected).any() and len({replay[t][1] for t in range(64)}) < 64
+
+    def test_fringe_visibility_is_pinned(self):
+        # phase point j draws from substream j of RngStream(2024, 7), so any change to how
+        # the scan positions its streams or orders its draws moves this value
+        measured = measure_fringe_visibility(make_bath(), 3, 3000, 6, RngStream(2024, 7))
+        assert measured == 0.9579227526267448

@@ -37,11 +37,18 @@ def test_substream_indexing_is_nested():
     assert other.stream_index != child.stream_index
 
 
+def fresh_generator(stream, i):
+    """Substream ``i`` of ``stream`` from a Philox built here, independently of ``RngStream``'s positioning."""
+    index = stream.stream_index * 2**32 + i
+    return np.random.Generator(np.random.Philox(key=stream.master_seed, counter=index << 128))
+
+
 def test_generators_match_fresh_construction():
     stream = RngStream(2024, 5)
     fast = [gen.binomial(50, 0.3) for gen in stream.generators(500)]
-    slow = [stream.substream(i).generator().binomial(50, 0.3) for i in range(500)]
+    slow = [fresh_generator(stream, i).binomial(50, 0.3) for i in range(500)]
     assert fast == slow
+    assert stream.substream(7).generator().random(9).tolist() == fresh_generator(stream, 7).random(9).tolist()
 
 
 # consumers that leave the shared Philox mid-block or with a buffered 32-bit half
@@ -62,8 +69,9 @@ EDGE_STREAM_IDS = ["seed-2^64-1", "seed-2^63+5", "index-2^96-1"]
 @pytest.mark.parametrize("stream", EDGE_STREAMS, ids=EDGE_STREAM_IDS)
 def test_generators_reposition_exactly(stream, consumer):
     fast = [consumer(gen) for gen in stream.generators(40)]
-    slow = [consumer(stream.substream(i).generator()) for i in range(40)]
+    slow = [consumer(fresh_generator(stream, i)) for i in range(40)]
     assert fast == slow
+    assert consumer(stream.substream(39).generator()) == slow[-1]
 
 
 def test_draws_do_not_depend_on_consumption_order():
