@@ -4,96 +4,67 @@ Closed-form statistics, Monte Carlo measurement protocols (thermalize-and-
 measure versus interferometric bath probing, with single-atom and entangled
 variants), exact small-system oracles, and campaign orchestration with
 power-law scaling fits.
+
+Each public name imports its defining module on first use (PEP 562), so a
+bare ``import thermoscale`` loads no submodule until a name is asked for.
 """
 
-from .estimators import (
-    estimate_beta_from_count,
-    run_thermalizing_trials,
-)
-from .interferometry import (
-    BathSpec,
-    dephasing_visibility,
-    max_theta,
-    measure_fringe_visibility,
-    noon_outcome_probability,
-    noon_phase_estimates,
-    reference_phase,
-    require_phase_window,
-    run_interferometer_trials,
-    sigma_beta_h_theory,
-    sigma_beta_sn_theory,
-    sigma_m_sn_theory,
-)
-from .oracle import (
-    branch_phase,
-    enumerate_thermal,
-    mixed_bath_visibility_exact,
-    noon_probs_exact,
-)
-from .rng import RngStream
-from .sweep import (
-    ScalingFit,
-    SweepAbortError,
-    SweepPlan,
-    SweepRecord,
-    bath_intrinsic_sigma,
-    collect_sweep_records,
-    emit_results,
-    fig1_curves,
-    fit_power_law,
-    matched_thermometer_size,
-    read_jsonl_results,
-)
-from .thermal import (
-    ThermalSummary,
-    TwoLevelSpec,
-    cr_bound_sigma,
-    doppler_precision,
-    excitation_probability,
-    invert_mean_fraction,
-    shot_noise_sigma_beta,
-    thermal_summary,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BathSpec",
-    "RngStream",
-    "ScalingFit",
-    "SweepAbortError",
-    "SweepPlan",
-    "SweepRecord",
-    "ThermalSummary",
-    "TwoLevelSpec",
-    "bath_intrinsic_sigma",
-    "branch_phase",
-    "collect_sweep_records",
-    "cr_bound_sigma",
-    "dephasing_visibility",
-    "doppler_precision",
-    "emit_results",
-    "enumerate_thermal",
-    "estimate_beta_from_count",
-    "excitation_probability",
-    "fig1_curves",
-    "fit_power_law",
-    "invert_mean_fraction",
-    "matched_thermometer_size",
-    "max_theta",
-    "measure_fringe_visibility",
-    "mixed_bath_visibility_exact",
-    "noon_outcome_probability",
-    "noon_phase_estimates",
-    "noon_probs_exact",
-    "read_jsonl_results",
-    "reference_phase",
-    "require_phase_window",
-    "run_interferometer_trials",
-    "run_thermalizing_trials",
-    "shot_noise_sigma_beta",
-    "sigma_beta_h_theory",
-    "sigma_beta_sn_theory",
-    "sigma_m_sn_theory",
-    "thermal_summary",
-]
+# each public name and the submodule that defines it
+_HOME = {
+    "BathSpec": "interferometry",
+    "RngStream": "rng",
+    "ScalingFit": "sweep",
+    "SweepAbortError": "sweep",
+    "SweepPlan": "sweep",
+    "SweepRecord": "sweep",
+    "ThermalSummary": "thermal",
+    "TwoLevelSpec": "thermal",
+    "bath_intrinsic_sigma": "sweep",
+    "branch_phase": "oracle",
+    "collect_sweep_records": "sweep",
+    "cr_bound_sigma": "thermal",
+    "dephasing_visibility": "interferometry",
+    "doppler_precision": "thermal",
+    "emit_results": "sweep",
+    "enumerate_thermal": "oracle",
+    "estimate_beta_from_count": "estimators",
+    "excitation_probability": "thermal",
+    "fig1_curves": "sweep",
+    "fit_power_law": "sweep",
+    "invert_mean_fraction": "thermal",
+    "matched_thermometer_size": "sweep",
+    "max_theta": "interferometry",
+    "measure_fringe_visibility": "interferometry",
+    "mixed_bath_visibility_exact": "oracle",
+    "noon_outcome_probability": "interferometry",
+    "noon_phase_estimates": "interferometry",
+    "noon_probs_exact": "oracle",
+    "read_jsonl_results": "sweep",
+    "reference_phase": "interferometry",
+    "require_phase_window": "interferometry",
+    "run_interferometer_trials": "interferometry",
+    "run_thermalizing_trials": "estimators",
+    "shot_noise_sigma_beta": "thermal",
+    "sigma_beta_h_theory": "interferometry",
+    "sigma_beta_sn_theory": "interferometry",
+    "sigma_m_sn_theory": "interferometry",
+    "thermal_summary": "thermal",
+}
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    """A public name or a module defining one, imported when first asked for; other names (``cli`` too) raise."""
+    if name in _HOME:
+        return getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    if name in _HOME.values():
+        return import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -7,8 +7,8 @@ resampling). Every flag may also be supplied through a plain ``key = value``
 config file via ``--config``; explicit flags override the file.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid configuration
-(including a missing numpy, which only ``sweep`` needs), 3 all trials
-invalid, 4 I/O failure.
+(including a missing numpy, which only ``sweep`` needs), 3 sweep aborted
+(a point with fewer than two valid trials, or a zero spread), 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .thermal import TwoLevelSpec, thermal_summary
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_BAD_CONFIG = 2
-EXIT_ALL_INVALID = 3
+EXIT_SWEEP_ABORTED = 3
 EXIT_IO = 4
 
 
@@ -302,8 +302,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
     except SweepAbortError as exc:
-        print(f"no valid trials: {exc}", file=sys.stderr)
-        return EXIT_ALL_INVALID
+        print(f"sweep aborted: {exc}", file=sys.stderr)
+        return EXIT_SWEEP_ABORTED
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -130,7 +130,7 @@ def max_theta(m_atoms: int, n_atoms: int = 1) -> float:
     """Largest coupling phase per excited atom allowed by the phase window."""
     m_atoms, n_atoms = _at_least("m_atoms", m_atoms), _at_least("n_atoms", n_atoms)
     limit = math.pi - PHASE_WINDOW_MARGIN
-    theta = limit / (n_atoms * m_atoms)
+    theta = limit / _at_least("n_atoms * m_atoms", n_atoms * m_atoms)  # a product float() takes
     # the quotient can round one ulp high; test it in require_phase_window's order
     if n_atoms * theta * m_atoms > limit:
         theta = math.nextafter(theta, 0.0)
@@ -286,8 +286,8 @@ def noon_phase_estimates(
 
 
 def sigma_m_sn_theory(theta: float, n_shots: int) -> float:
-    """Predicted spread of the inferred bath count: ``1 / (theta * sqrt(n_shots))``."""
-    return 1.0 / (_real("theta", theta) * math.sqrt(_at_least("n_shots", n_shots)))
+    """Predicted spread of the inferred bath count: ``1 / (theta * sqrt(n_shots))``, refused once it overflows."""
+    return _real("sigma_m", 1.0 / (_real("theta", theta) * math.sqrt(_at_least("n_shots", n_shots))))
 
 
 def _inverse_mean_slope(bath: BathSpec) -> float:
@@ -303,15 +303,17 @@ def sigma_beta_sn_theory(bath: BathSpec, n_shots: int) -> float:
     """Predicted beta spread of the single-atom protocol.
 
     The count spread ``sigma_m`` divided by the sensitivity ``|d<m>/dbeta| =
-    m_atoms * epsilon * p * (1-p)``; falls as ``n_shots**-0.5``.
+    m_atoms * epsilon * p * (1-p)``; falls as ``n_shots**-0.5``. A spread
+    that leaves the floats (overflows to inf, underflows to 0 or is NaN) is refused.
     """
-    return sigma_m_sn_theory(bath.theta, n_shots) * _inverse_mean_slope(bath)
+    return _real("sigma_beta", sigma_m_sn_theory(bath.theta, n_shots) * _inverse_mean_slope(bath))
 
 
 def sigma_beta_h_theory(bath: BathSpec, n_atoms: int) -> float:
     """Predicted beta spread of one entangled-probe shot: the same sensitivity
-    quotient as the single-atom case with ``1/sqrt(N)`` replaced by ``1/N``."""
-    return (1.0 / (_at_least("n_atoms", n_atoms) * bath.theta)) * _inverse_mean_slope(bath)
+    quotient as the single-atom case with ``1/sqrt(N)`` replaced by ``1/N``, and refused where it is."""
+    sigma_m = 1.0 / (_at_least("n_atoms", n_atoms) * bath.theta)
+    return _real("sigma_beta", sigma_m * _inverse_mean_slope(bath))
 
 
 def dephasing_visibility(bath: BathSpec, n_atoms: int) -> float:
@@ -322,7 +324,8 @@ def dephasing_visibility(bath: BathSpec, n_atoms: int) -> float:
     ``|1 - p + p * exp(1j * n_atoms * theta)| ** m_atoms``.
     """
     n_atoms, p = _at_least("n_atoms", n_atoms), bath.excitation
-    phasor = (1.0 - p) + p * cmath.exp(1j * n_atoms * bath.theta)
+    phase = _real("n_atoms * theta", n_atoms * bath.theta)  # cmath.exp refuses an infinite phase unnamed
+    phasor = (1.0 - p) + p * cmath.exp(1j * phase)
     return abs(phasor) ** bath.m_atoms
 
 

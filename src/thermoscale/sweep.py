@@ -35,7 +35,8 @@ MIN_FIT_POINTS = 4
 
 
 class SweepAbortError(RuntimeError):
-    """A sweep point produced fewer than two valid trials; carries the offending size."""
+    """A sweep point cannot enter the fit: it produced fewer than two valid trials, or its valid
+    estimates all agree (a zero spread has no logarithm); carries the offending size."""
 
     def __init__(self, n: int, message: str):
         super().__init__(message)
@@ -204,6 +205,11 @@ def fit_power_law(points: Sequence[tuple[int, float]]) -> ScalingFit:
 
 
 def fit_from_records(records: Sequence[SweepRecord]) -> ScalingFit:
+    """:func:`fit_power_law` of the records' spreads; the first point whose valid estimates all agree
+    aborts with :class:`SweepAbortError`, as a point with too few valid trials does."""
+    for r in records:
+        if r.sigma_beta_empirical == 0.0:
+            raise SweepAbortError(r.n, f"sweep point n={r.n} has zero spread: its valid estimates all agree")
     return fit_power_law([(r.n, r.sigma_beta_empirical) for r in records])
 
 

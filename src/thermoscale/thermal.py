@@ -12,7 +12,10 @@ best-achievable spread of any inverse-temperature estimate.
 
 All functions are pure and safe for concurrent use. ``beta`` must be
 nonnegative everywhere; the internal forms stay finite for any such ``x``,
-and the excited population underflows to 0 once ``exp(x)`` overflows.
+and the excited population underflows to 0 once ``exp(x)`` overflows. A
+result or summary field that leaves the floats (a splitting or an ensemble
+too large, so a product overflows to inf or to inf * 0 = NaN) is refused
+with a ValueError naming it, as is a spread whose response underflowed to 0.
 """
 
 from __future__ import annotations
@@ -83,7 +86,7 @@ def thermal_summary(spec: TwoLevelSpec, beta: float) -> ThermalSummary:
     eps_bar = spec.epsilon * p
     eps_prime = spec.epsilon * spec.epsilon * p * (1.0 - p)
     energy_variance = spec.n_atoms * eps_prime
-    return ThermalSummary(
+    summary = ThermalSummary(
         log_z=log_z,
         mean_energy=spec.n_atoms * eps_bar,
         energy_variance=energy_variance,
@@ -91,6 +94,9 @@ def thermal_summary(spec: TwoLevelSpec, beta: float) -> ThermalSummary:
         eps_prime=eps_prime,
         fisher_info=energy_variance,
     )
+    for name, value in vars(summary).items():  # a product that overflowed to inf, or inf * 0 = NaN
+        _real(name, value, positive=False)
+    return summary
 
 
 def shot_noise_sigma_beta(spec: TwoLevelSpec, beta: float) -> float:
@@ -123,9 +129,11 @@ def cr_bound_sigma(fisher_info: float, repetitions: int = 1) -> float:
     """Cramér-Rao floor ``1 / sqrt(repetitions * fisher_info)`` on an estimator spread."""
     if _real("fisher_info", fisher_info, positive=False) == 0.0:
         raise ValueError("fisher_info is zero; the bound is unbounded")
-    return 1.0 / math.sqrt(_at_least("repetitions", repetitions) * fisher_info)
+    information = _at_least("repetitions", repetitions) * fisher_info
+    return 1.0 / math.sqrt(_real("repetitions * fisher_info", information))  # refused once it overflows
 
 
 def doppler_precision(atom_rate: float, integration_time: float) -> float:
     """Shot-noise precision ``(atom_rate * integration_time) ** -0.5`` of a beam measurement."""
-    return 1.0 / math.sqrt(_real("atom_rate", atom_rate) * _real("integration_time", integration_time))
+    product = _real("atom_rate", atom_rate) * _real("integration_time", integration_time)
+    return 1.0 / math.sqrt(_real("atom_rate * integration_time", product))  # refused once it under- or overflows

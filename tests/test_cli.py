@@ -1,3 +1,4 @@
+import importlib
 import math
 import os
 import subprocess
@@ -128,7 +129,20 @@ class TestSweep:
             "--seed", "5", "--out", str(tmp_path / "x.csv"),
         )
         assert code == 3
-        assert "n=1" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("sweep aborted:") and "n=1" in err
+
+    def test_zero_spread_exits_3_and_writes_nothing(self, tmp_path, capsys):
+        # the 12 valid estimates at n=10 all read -0.02000067: no log(sigma) to fit, where this exited 2
+        out = tmp_path / "x.csv"
+        code = run_cli(
+            "sweep", "--protocol", "sn", "--n-values", "10,20,30,40", "--trials", "50", "--bath-m", "100",
+            "--alpha", "0.001", "--tau", "1", "--beta-true", "1", "--seed", "1", "--out", str(out),
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("sweep aborted:") and "n=10" in err and "zero spread" in err
+        assert not out.exists()
 
     def test_unwritable_out_exits_4(self, capsys):
         code = run_cli(*self.BASE, "--out", "/nonexistent-dir/deep/x.csv")
@@ -323,7 +337,8 @@ def drawn_streams(monkeypatch):
 
 
 class TestDegenerateSensitivity:
-    """A configuration whose mean energy does not respond to beta is invalid input."""
+    """A configuration whose mean energy does not respond to beta, or whose closed form leaves the floats,
+    is invalid input."""
 
     def test_sweep_exits_2_before_any_trial(self, tmp_path, drawn_streams, capsys):
         out = tmp_path / "x.csv"
@@ -355,6 +370,25 @@ class TestDegenerateSensitivity:
         assert "invalid configuration" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (("stats", "--epsilon", "1e200", "--beta", "1e-300", "--n", "3"), "energy_variance"),
+        (("stats", "--epsilon", "1e308", "--beta", "1e308", "--n", "3"), "energy_variance"),
+        (("fig1", "--epsilon", "1e200", "--beta-max", "1", "--points", "2", "--out", "f.csv"), "energy_variance"),
+        (("sweep", "--protocol", "thermalizing", "--n-values", "16,32,64,128", "--trials", "20",
+          "--epsilon", "1e200", "--beta-true", "1e-300", "--seed", "1", "--out", "x.csv"), "energy_variance"),
+        (("sweep", "--protocol", "sn", "--n-values", "10,20,30,40", "--trials", "50", "--bath-m", "100",
+          "--alpha", "5e-324", "--tau", "1", "--beta-true", "1", "--seed", "1", "--out", "x.csv"), "sigma_m"),
+        (("dephasing", "--bath-m", "100", "--theta", "1e308", "--n", "3", "--beta-true", "1"), "n_atoms * theta"),
+    ], ids=["stats", "stats-nan", "fig1", "thermalizing sweep", "sn sweep", "dephasing"])
+    def test_overflow_exits_2_before_any_output_or_trial(self, argv, message, tmp_path, drawn_streams, capsys,
+                                                        monkeypatch):
+        # each returned inf, NaN or 0.0 (or a bare "math domain error"); both sweeps ran every trial first
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(*argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("invalid configuration") and message in err
+        assert drawn_streams == [] and list(tmp_path.iterdir()) == []
+
 
 class TestOversizedCounts:
     """A count that numpy's binomial or float() cannot take exits 2 before any trial or output."""
@@ -377,6 +411,10 @@ class TestOversizedCounts:
 def test_every_public_name_resolves():
     assert [name for name in thermoscale.__all__ if not hasattr(thermoscale, name)] == []
     assert len(set(thermoscale.__all__)) == len(thermoscale.__all__)
+    for name in thermoscale.__all__:  # the very object that its defining module binds to that name
+        value = getattr(thermoscale, name)
+        assert value.__module__.startswith("thermoscale.")
+        assert getattr(importlib.import_module(value.__module__), name) is value
 
 
 def _fresh_python(code, *argv, cwd=None):
@@ -394,6 +432,32 @@ def test_import_does_not_load_scipy():
     result = _fresh_python(probe)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False False"
+
+
+LOADED = "import sys\n{}\nprint(sorted(m for m in sys.modules if m.startswith('thermoscale.')))"
+
+
+@pytest.mark.parametrize("statement, loaded", [
+    ("import thermoscale", []),
+    ("from thermoscale import thermal_summary", ["thermoscale.rng", "thermoscale.thermal"]),
+], ids=["bare", "one-name"])
+def test_a_name_loads_only_its_own_modules(statement, loaded):
+    result = _fresh_python(LOADED.format(statement))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == repr(loaded)
+
+
+@pytest.mark.parametrize("probe", [
+    "from thermoscale import *\nimport thermoscale\n"
+    "assert all(globals()[name] is getattr(thermoscale, name) for name in thermoscale.__all__)",
+    "import thermoscale\nassert thermoscale.sweep is sys.modules['thermoscale.sweep']",
+    "import thermoscale\nassert not hasattr(thermoscale, 'nope') and not hasattr(thermoscale, 'cli')\n"
+    "from thermoscale import cli\nassert thermoscale.cli is cli",
+    "import thermoscale\nassert set(thermoscale.__all__) <= set(dir(thermoscale))",
+], ids=["star-import", "submodule", "missing-name", "dir"])
+def test_lazy_package_behaves_as_a_plain_one(probe):
+    result = _fresh_python("import sys\n" + probe)
+    assert result.returncode == 0, result.stderr
 
 
 # the real entry point, ``python -m thermoscale``, with numpy importable or not

@@ -198,6 +198,16 @@ class TestIntegerInputs:
         # a NaN phase would give NaN, and an infinite one a bare "math domain error"
         (lambda bath: noon_outcome_probability(2, math.nan), "finite phi_b"),
         (lambda bath: noon_outcome_probability(2, math.inf), "finite phi_b"),
+        # a finite input whose closed form leaves the floats would give inf, NaN, 0.0 or an unnamed error
+        (lambda bath: sigma_m_sn_theory(5e-324, 1), "sigma_m must be a positive finite real, got inf"),
+        (lambda bath: sigma_beta_sn_theory(make_bath(theta=5e-324), 1), "sigma_m .* got inf"),
+        (lambda bath: sigma_beta_h_theory(make_bath(theta=5e-324), 1), "sigma_beta .* got inf"),
+        (lambda bath: sigma_beta_sn_theory(BathSpec(10**300, 1e10, 1e-310, 1e-310, 1.0), 1), "sigma_m .* got inf"),
+        # |d<m>/dbeta| overflows, so the spread would be 0.0
+        (lambda bath: sigma_beta_sn_theory(BathSpec(10**300, 1e10, 1e-310, 0.01, 1.0), 1), r"sigma_beta .* got 0\.0"),
+        (lambda bath: sigma_beta_h_theory(BathSpec(10**300, 1e10, 1e-310, 0.01, 1.0), 2), r"sigma_beta .* got 0\.0"),
+        (lambda bath: max_theta(10**200, 10**200), r"n_atoms \* m_atoms must convert to a float"),
+        (lambda bath: dephasing_visibility(make_bath(theta=1e308), 3), r"n_atoms \* theta must be a positive"),
     ]
 
     @pytest.mark.parametrize(
@@ -536,6 +546,11 @@ class TestOutcomeSampling:
 class TestTheoryFormulas:
     def test_sigma_m_unit_case(self):
         assert sigma_m_sn_theory(1.0, 1) == 1.0
+
+    def test_extreme_finite_inputs_still_evaluate(self):
+        assert sigma_m_sn_theory(1e-300, 1) == pytest.approx(1e300, rel=1e-15)
+        assert max_theta(10**150, 10**150) == pytest.approx((math.pi - 1e-3) / 1e300, rel=1e-15)
+        assert 0.0 <= dephasing_visibility(make_bath(theta=1e308), 1) <= 1.0
 
     def test_sigma_m_cancellation(self):
         assert sigma_m_sn_theory(0.5, 4) == 1.0

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from thermoscale.oracle import enumerate_thermal
+from thermoscale.sweep import bath_intrinsic_sigma, fig1_curves
 from thermoscale.thermal import (
     TwoLevelSpec,
     cr_bound_sigma,
@@ -113,7 +114,7 @@ class TestThermalSummary:
             TwoLevelSpec(3, -1.0)
         with pytest.raises(ValueError):
             thermal_summary(TwoLevelSpec(1, 1.0), -0.5)
-        # each of these would return a number (nan, 0.0 or a bound) instead of raising
+        # each of these would return a number (nan, inf, 0.0 or a bound) or raise ZeroDivisionError
         for call, match in (
             (lambda: cr_bound_sigma(4.0, 2.5), "repetitions must be an integer"),
             (lambda: cr_bound_sigma(4.0, True), "repetitions must be an integer"),
@@ -123,9 +124,26 @@ class TestThermalSummary:
             (lambda: doppler_precision(1.0, math.inf), "integration_time must be a positive finite real"),
             (lambda: excitation_probability(math.inf, 0.0), "epsilon must be a positive finite real"),
             (lambda: invert_mean_fraction(0.3, math.inf), "epsilon must be a positive finite real"),
+            # a finite input whose closed form leaves the floats: eps_prime = epsilon**2 * p * (1 - p)
+            # overflows, or is inf * 0 once beta * epsilon is infinite, and the products below over- or underflow
+            (lambda: thermal_summary(TwoLevelSpec(3, 1e200), 1e-300), "energy_variance .* got inf"),
+            (lambda: thermal_summary(TwoLevelSpec(3, 1e308), 1e308), "energy_variance .* got nan"),
+            (lambda: thermal_summary(TwoLevelSpec(10**300, 1e10), 0.0), "mean_energy .* got inf"),
+            (lambda: shot_noise_sigma_beta(TwoLevelSpec(3, 1e200), 1e-300), "energy_variance .* got inf"),
+            (lambda: bath_intrinsic_sigma(3, 1e200, 1e-300), "energy_variance .* got inf"),
+            (lambda: fig1_curves(1e200, [0.0]), "energy_variance .* got inf"),
+            (lambda: cr_bound_sigma(1e308, 10), r"repetitions \* fisher_info must be a positive finite real"),
+            (lambda: doppler_precision(1e-200, 1e-200), r"atom_rate \* integration_time .* got 0\.0"),
+            (lambda: doppler_precision(1e200, 1e200), r"atom_rate \* integration_time .* got inf"),
         ):
             with pytest.raises(ValueError, match=match):
                 call()
+
+    def test_large_finite_splitting_still_evaluates(self):
+        # epsilon**2 = 1e300 still fits, and the scaled spread keeps its closed form 2 at x = 0
+        assert thermal_summary(TwoLevelSpec(3, 1e150), 1e-300).eps_prime == pytest.approx(0.25e300, rel=1e-15)
+        assert fig1_curves(1e150, [0.0])[0][2] == pytest.approx(2.0, rel=1e-15)
+        assert doppler_precision(1e150, 1e150) == pytest.approx(1e-150, rel=1e-15)
 
     def test_spec_atom_count_is_an_integer(self):
         # a bool is an int subclass, but no atom count
@@ -237,3 +255,4 @@ class TestDopplerPrecision:
             doppler_precision(0.0, 1.0)
         with pytest.raises(ValueError):
             doppler_precision(1.0, 0.0)
+
