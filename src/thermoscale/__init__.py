@@ -21,7 +21,6 @@ _HOME = {
     "SweepAbortError": "sweep",
     "SweepPlan": "sweep",
     "SweepRecord": "sweep",
-    "ThermalSummary": "thermal",
     "TwoLevelSpec": "thermal",
     "bath_intrinsic_sigma": "sweep",
     "branch_phase": "oracle",
@@ -29,7 +28,6 @@ _HOME = {
     "cr_bound_sigma": "thermal",
     "dephasing_visibility": "interferometry",
     "doppler_precision": "thermal",
-    "emit_results": "sweep",
     "enumerate_thermal": "oracle",
     "estimate_beta_from_count": "estimators",
     "excitation_probability": "thermal",
@@ -45,7 +43,6 @@ _HOME = {
     "noon_probs_exact": "oracle",
     "read_jsonl_results": "sweep",
     "reference_phase": "interferometry",
-    "require_phase_window": "interferometry",
     "run_interferometer_trials": "interferometry",
     "run_thermalizing_trials": "estimators",
     "shot_noise_sigma_beta": "thermal",

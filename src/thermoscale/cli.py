@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 verification failure, 2 invalid configuration
 from __future__ import annotations
 
 import argparse
+import io
 import math
 import sys
 from typing import Optional, Sequence
@@ -29,8 +30,8 @@ from .sweep import (
     collect_sweep_records,
     fig1_curves,
     fit_from_records,
-    emit_results,
     format_float,
+    write_results,
 )
 from .thermal import TwoLevelSpec, thermal_summary
 
@@ -125,6 +126,16 @@ def _merge_config(argv: list[str], config: argparse.ArgumentParser) -> list[str]
     return rest[:1] + _load_config_flags(known.config) + rest[1:]
 
 
+def _write(path: str, text: str) -> None:
+    """Write an output file from its already-rendered text, so a refused run leaves an existing file
+    untouched; a failure names the path (exit 4)."""
+    try:
+        with open(path, "w", newline="") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise OSError(f"cannot write {path!r}: {exc}") from exc
+
+
 def _cmd_stats(args: argparse.Namespace) -> int:
     summary = thermal_summary(TwoLevelSpec(n_atoms=args.n, epsilon=args.epsilon), args.beta)
     for name in ("log_z", "mean_energy", "energy_variance", "eps_bar", "eps_prime", "fisher_info"):
@@ -139,14 +150,9 @@ def _cmd_fig1(args: argparse.Namespace) -> int:
         grid = [0.0]
     else:
         grid = [args.beta_max * i / (args.points - 1) for i in range(args.points)]
-    rows = fig1_curves(args.epsilon, grid)
-    try:
-        with open(args.out, "w", newline="") as handle:
-            handle.write("beta_eps,eps_bar_over_eps,sqrt_n_sigma_beta_eps\n")
-            for x, frac, scaled in rows:
-                handle.write(f"{format_float(x)},{format_float(frac)},{format_float(scaled)}\n")
-    except OSError as exc:
-        raise OSError(f"cannot write {args.out!r}: {exc}") from exc
+    lines = ["beta_eps,eps_bar_over_eps,sqrt_n_sigma_beta_eps"]
+    lines += [",".join(map(format_float, row)) for row in fig1_curves(args.epsilon, grid)]
+    _write(args.out, "".join(line + "\n" for line in lines))
     return EXIT_OK
 
 
@@ -194,7 +200,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     plan = _plan_from_args(args)
     records = collect_sweep_records(plan)
     fit = fit_from_records(records)
-    emit_results(records, fit, args.format, args.out)
+    text = io.StringIO()
+    write_results(records, fit, args.format, text)
+    _write(args.out, text.getvalue())
     print(
         f"protocol={plan.protocol} points={len(records)} "
         f"slope={format_float(fit.slope)} stderr={format_float(fit.stderr_slope)} "

@@ -12,7 +12,6 @@ byte-identical files.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 from dataclasses import dataclass, fields
@@ -28,7 +27,7 @@ from .interferometry import (
     sigma_beta_sn_theory,
 )
 from .rng import _SUBSTREAM_STRIDE, RngStream, _at_least, _binomial_n, _one_of, _real
-from .thermal import TwoLevelSpec, excitation_probability, shot_noise_sigma_beta, thermal_summary
+from .thermal import TwoLevelSpec, excitation_probability, shot_noise_sigma_beta
 
 PROTOCOLS = ("thermalizing", "sn", "noon")
 MIN_FIT_POINTS = 4
@@ -251,11 +250,11 @@ def fig1_curves(epsilon: float, beta_grid: Iterable[float]) -> list[tuple[float,
     rows = []
     for beta in betas:
         p = excitation_probability(epsilon, beta)
-        summary = thermal_summary(TwoLevelSpec(1, epsilon), beta)
-        if summary.eps_prime == 0.0:
-            raise ValueError(f"eps_prime underflowed to zero at beta={beta}; no response")
-        scaled_sigma = epsilon / math.sqrt(summary.eps_prime)
-        rows.append((beta * epsilon, p, scaled_sigma))
+        # from p alone: epsilon**2 * p * (1 - p) would overflow first for a splitting above about 1e154
+        variance = p * (1.0 - p)
+        if variance == 0.0:
+            raise ValueError(f"p * (1 - p) underflowed to zero at beta={beta}; no response")
+        rows.append((beta * epsilon, p, 1.0 / math.sqrt(variance)))
     return rows
 
 
@@ -304,8 +303,9 @@ def write_results(
 ) -> None:
     """Write sweep records (and the fit summary, when given) to an open text sink.
 
-    Columns and keys are the fields of :class:`SweepRecord`, in order. Refuses
-    NaN and infinities before writing anything.
+    Columns and keys are the fields of :class:`SweepRecord`, in order; identical
+    inputs yield identical text. Refuses NaN and infinities before writing
+    anything, then writes the whole text in one call.
     """
     if fmt not in ("csv", "jsonl"):
         raise ValueError(f"format must be 'csv' or 'jsonl', got {fmt!r}")
@@ -320,26 +320,6 @@ def write_results(
         if fit_cells is not None:
             lines.append('{"fit": ' + _json_object(fit_cells) + "}")
     out.write("".join(line + "\n" for line in lines))
-
-
-def emit_results(
-    records: Sequence[SweepRecord],
-    fit: Optional[ScalingFit],
-    fmt: str,
-    destination: str,
-) -> None:
-    """Write results to ``destination``; identical inputs yield identical bytes.
-
-    The output is rendered before the file is opened, so a refused write
-    (a non-finite value, an unknown format) leaves ``destination`` untouched.
-    """
-    text = io.StringIO()
-    write_results(records, fit, fmt, text)
-    try:
-        with open(destination, "w", newline="") as handle:
-            handle.write(text.getvalue())
-    except OSError as exc:
-        raise OSError(f"cannot write results to {destination!r}: {exc}") from exc
 
 
 def _refuse_constant(token: str):

@@ -5,6 +5,7 @@ statistical criteria use frozen master seeds; identical plans reproduce
 identical numbers on any machine, so the pass/fail outcomes are stable.
 """
 
+import io
 import math
 import time
 
@@ -27,9 +28,9 @@ from thermoscale.sweep import (
     SweepPlan,
     bath_intrinsic_sigma,
     collect_sweep_records,
-    emit_results,
     fit_from_records,
     matched_thermometer_size,
+    write_results,
 )
 from thermoscale.thermal import (
     TwoLevelSpec,
@@ -105,8 +106,15 @@ def test_a3_shot_noise_saturation():
     )
 
 
+def csv_bytes(records):
+    """The CSV bytes that ``thermoscale sweep`` writes for these records and their fit."""
+    sink = io.StringIO()
+    write_results(records, fit_from_records(records), "csv", sink)
+    return sink.getvalue().encode()
+
+
 @pytest.fixture(scope="module")
-def a4_setup(tmp_path_factory):
+def a4_setup():
     plan = SweepPlan(
         protocol="thermalizing",
         n_values=tuple(16 * 2**i for i in range(9)),  # 16 .. 4096
@@ -118,10 +126,8 @@ def a4_setup(tmp_path_factory):
     start = time.time()
     records = collect_sweep_records(plan)
     elapsed = time.time() - start
-    path = tmp_path_factory.mktemp("a4") / "sweep.csv"
     fit = fit_from_records(records)
-    emit_results(records, fit, "csv", str(path))
-    return plan, records, fit, path.read_bytes(), elapsed
+    return plan, records, fit, csv_bytes(records), elapsed
 
 
 def test_a4_thermalizing_scaling(a4_setup):
@@ -267,15 +273,8 @@ def test_a9_bath_intrinsic_floor():
 
 
 def test_a10_determinism(a4_setup):
-    plan, _, fit, first_bytes, _ = a4_setup
-    records = collect_sweep_records(plan)  # full re-run, same plan
-    import tempfile, os
-
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "again.csv")
-        emit_results(records, fit_from_records(records), "csv", path)
-        with open(path, "rb") as handle:
-            second_bytes = handle.read()
+    plan, _, _, first_bytes, _ = a4_setup
+    second_bytes = csv_bytes(collect_sweep_records(plan))  # full re-run, same plan
     check(
         "A10",
         first_bytes == second_bytes,

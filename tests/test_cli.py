@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -69,6 +70,22 @@ class TestFig1:
             "--out", "/nonexistent-dir/fig1.csv",
         )
         assert code == 4
+        assert "/nonexistent-dir/fig1.csv" in capsys.readouterr().err
+
+    def test_refused_write_leaves_existing_file_untouched(self, tmp_path, capsys):
+        # the table is rendered in full before the file is opened
+        out = tmp_path / "fig1.csv"
+        out.write_bytes(b"old table\n")
+        assert run_cli("fig1", "--epsilon", "1", "--beta-max", "800", "--points", "2", "--out", str(out)) == 2
+        assert "underflowed to zero" in capsys.readouterr().err
+        assert out.read_bytes() == b"old table\n"
+
+    def test_huge_splitting_writes_its_table(self, tmp_path):
+        # the rows depend on x = beta * epsilon alone, so epsilon**2 overflowing refuses none of them
+        out = tmp_path / "fig1.csv"
+        code = run_cli("fig1", "--epsilon", "1e200", "--beta-max", "1e-199", "--points", "3", "--out", str(out))
+        assert code == 0
+        assert out.read_text().splitlines()[1] == "0,0.5,2"
 
 
 class TestSweep:
@@ -147,6 +164,25 @@ class TestSweep:
     def test_unwritable_out_exits_4(self, capsys):
         code = run_cli(*self.BASE, "--out", "/nonexistent-dir/deep/x.csv")
         assert code == 4
+        assert "/nonexistent-dir/deep/x.csv" in capsys.readouterr().err
+
+    def test_refused_write_leaves_existing_file_untouched(self, tmp_path, monkeypatch, capsys):
+        # the records are rendered in full before the file is opened, so a value that neither format
+        # can carry (exit 2), or an aborted sweep (exit 3), leaves the old file as it was
+        out = tmp_path / "results.csv"
+        out.write_bytes(b"old results\n")
+        code = run_cli(
+            "sweep", "--protocol", "thermalizing", "--n-values", "1,2,3,4", "--trials", "30", "--beta-true", "0.0",
+            "--estimator", "raw", "--seed", "5", "--out", str(out),
+        )
+        assert code == 3
+        assert out.read_bytes() == b"old results\n"
+        fit = cli.fit_from_records
+        monkeypatch.setattr(cli, "fit_from_records", lambda records: replace(fit(records), r_squared=math.nan))
+        for fmt in ("csv", "jsonl"):
+            assert run_cli(*self.BASE, "--out", str(out), "--format", fmt) == 2
+            assert "r_squared is nan" in capsys.readouterr().err
+            assert out.read_bytes() == b"old results\n"
 
     def test_unparseable_sizes_exit_2(self, tmp_path, capsys):
         code = run_cli(
@@ -373,13 +409,12 @@ class TestDegenerateSensitivity:
     @pytest.mark.parametrize("argv, message", [
         (("stats", "--epsilon", "1e200", "--beta", "1e-300", "--n", "3"), "energy_variance"),
         (("stats", "--epsilon", "1e308", "--beta", "1e308", "--n", "3"), "energy_variance"),
-        (("fig1", "--epsilon", "1e200", "--beta-max", "1", "--points", "2", "--out", "f.csv"), "energy_variance"),
         (("sweep", "--protocol", "thermalizing", "--n-values", "16,32,64,128", "--trials", "20",
           "--epsilon", "1e200", "--beta-true", "1e-300", "--seed", "1", "--out", "x.csv"), "energy_variance"),
         (("sweep", "--protocol", "sn", "--n-values", "10,20,30,40", "--trials", "50", "--bath-m", "100",
           "--alpha", "5e-324", "--tau", "1", "--beta-true", "1", "--seed", "1", "--out", "x.csv"), "sigma_m"),
         (("dephasing", "--bath-m", "100", "--theta", "1e308", "--n", "3", "--beta-true", "1"), "n_atoms * theta"),
-    ], ids=["stats", "stats-nan", "fig1", "thermalizing sweep", "sn sweep", "dephasing"])
+    ], ids=["stats", "stats-nan", "thermalizing sweep", "sn sweep", "dephasing"])
     def test_overflow_exits_2_before_any_output_or_trial(self, argv, message, tmp_path, drawn_streams, capsys,
                                                         monkeypatch):
         # each returned inf, NaN or 0.0 (or a bare "math domain error"); both sweeps ran every trial first

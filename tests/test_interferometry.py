@@ -2,12 +2,14 @@ import cmath
 import math
 import sys
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from thermoscale import interferometry
 from thermoscale.interferometry import (
+    BATH_MODES,
     BathSpec,
     _beta_from_phase,
     _phase_from_port_fraction,
@@ -404,16 +406,17 @@ class TestPhaseHandoff:
         return run_interferometer_trials(*args.values())[0]
 
     def test_sweep_phases_equal_fresh_simulation(self):
-        collect_sweep_records(self.PLAN)
-        for j, n in enumerate(self.PLAN.n_values):
-            args = self.request(j, n)
-            kept = len(interferometry._phase_store)
-            phases = noon_phase_estimates(**args)
-            assert len(interferometry._phase_store) == kept - 1  # a hit, taken out
-            assert phases.tobytes() == self.fresh(args).tobytes()
-            # a second identical request misses and simulates the same values
-            assert noon_phase_estimates(**args).tobytes() == phases.tobytes()
-        assert not interferometry._phase_store
+        for mode in BATH_MODES:  # the sampled bath draws its count in the same trial, before the shots
+            collect_sweep_records(replace(self.PLAN, bath_mode=mode))
+            for j, n in enumerate(self.PLAN.n_values):
+                args = self.request(j, n, mode=mode)
+                kept = len(interferometry._phase_store)
+                phases = noon_phase_estimates(**args)
+                assert len(interferometry._phase_store) == kept - 1, mode  # a hit, taken out
+                assert phases.tobytes() == self.fresh(args).tobytes(), mode
+                # a second identical request misses and simulates the same values
+                assert noon_phase_estimates(**args).tobytes() == phases.tobytes(), mode
+            assert not interferometry._phase_store, mode
 
     @pytest.mark.parametrize(
         "changes",
@@ -645,11 +648,14 @@ class TestReproducibility:
     def test_trials_are_schedule_invariant(self):
         stream = RngStream(81)
         # trial t is a function of substream t only: replay in shuffled order,
-        # for a resampled bath, for a fixed one (port probability computed once),
+        # for a resampled bath (with one atom, and with four at half the phase
+        # window, whose reference phase delta > 0 enters each trial as
+        # delta / n_atoms), for a fixed one (port probability computed once),
         # and for a fixed one read raw at few shots, where counts repeat and
         # some trials are invalid (estimates computed once per distinct count)
         cases = (
             (make_bath(), 1, 50, "sampled_m", "jeffreys"),
+            (make_bath(theta=max_theta(100, 8)), 4, 200, "sampled_m", "jeffreys"),
             (make_bath(theta=max_theta(100, 4)), 4, 200, "fixed_m", "jeffreys"),
             (make_bath(), 1, 4, "fixed_m", "raw"),
         )

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from thermoscale import cli
 from thermoscale.interferometry import BathSpec, max_theta
 from thermoscale.rng import RngStream
 from thermoscale.sweep import (
@@ -14,7 +15,6 @@ from thermoscale.sweep import (
     SweepRecord,
     bath_intrinsic_sigma,
     collect_sweep_records,
-    emit_results,
     fig1_curves,
     fit_from_records,
     fit_power_law,
@@ -370,37 +370,35 @@ GOLDEN_SHA256 = {
 }
 
 
-class TestResultFiles:
-    def test_csv_bytes_are_deterministic(self, tmp_path):
-        records = collect_sweep_records(THERM_PLAN)
-        fit = fit_from_records(records)
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        emit_results(records, fit, "csv", str(a))
-        emit_results(records, fit, "csv", str(b))
-        assert a.read_bytes() == b.read_bytes()
+def render(records, fit, fmt):
+    """The text that write_results writes for these arguments."""
+    sink = io.StringIO()
+    write_results(records, fit, fmt, sink)
+    return sink.getvalue()
 
-    def test_csv_schema(self, tmp_path):
+
+class TestResultFiles:
+    def test_csv_bytes_are_deterministic(self):
         records = collect_sweep_records(THERM_PLAN)
         fit = fit_from_records(records)
-        path = tmp_path / "out.csv"
-        emit_results(records, fit, "csv", str(path))
-        lines = path.read_text().splitlines()
+        assert render(records, fit, "csv") == render(records, fit, "csv")
+
+    def test_csv_schema(self):
+        records = collect_sweep_records(THERM_PLAN)
+        fit = fit_from_records(records)
+        lines = render(records, fit, "csv").splitlines()
         assert lines[0] == CSV_HEADER
         assert len(lines) == 1 + len(records) + 1
         assert lines[-1].startswith("#fit,")
         assert len(lines[1].split(",")) == 5
 
-    def test_empty_sweep_gives_header_only_csv(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        emit_results([], None, "csv", str(path))
-        assert path.read_text() == CSV_HEADER + "\n"
+    def test_empty_sweep_gives_header_only_csv(self):
+        assert render([], None, "csv") == CSV_HEADER + "\n"
 
-    def test_three_point_fit_structure(self, tmp_path):
+    def test_three_point_fit_structure(self):
         records = [SweepRecord(n, 1.0 / n, 1.0 / n, 0.0, 10) for n in (1, 2, 4)]
         fit = ScalingFit(-1.0, 0.0, 0.0, 1.0, tuple((r.n, r.sigma_beta_empirical) for r in records))
-        path = tmp_path / "three.csv"
-        emit_results(records, fit, "csv", str(path))
-        lines = path.read_text().splitlines()
+        lines = render(records, fit, "csv").splitlines()
         assert len(lines) == 5  # header, three data rows, summary row
         assert lines[-1].split(",")[0] == "#fit"
 
@@ -408,7 +406,8 @@ class TestResultFiles:
         records = collect_sweep_records(THERM_PLAN)
         fit = fit_from_records(records)
         path = tmp_path / "out.jsonl"
-        emit_results(records, fit, "jsonl", str(path))
+        with open(path, "w") as handle:
+            write_results(records, fit, "jsonl", handle)
         parsed_records, parsed_fit = read_jsonl_results(str(path))
         assert parsed_records == records
         assert parsed_fit == fit
@@ -484,13 +483,16 @@ class TestResultFiles:
         assert read_jsonl_results(str(path))[0] == [SweepRecord(2, 0.0, 0.5, 0.0, 10)]
 
     def test_unwritable_destination(self):
+        # result files are rendered by write_results and written by the CLI, whose error names the path
         with pytest.raises(OSError) as info:
-            emit_results([], None, "csv", "/nonexistent-dir/deep/out.csv")
+            cli._write("/nonexistent-dir/deep/out.csv", render([], None, "csv"))
         assert "/nonexistent-dir/deep/out.csv" in str(info.value)
 
-    def test_unknown_format(self, tmp_path):
-        with pytest.raises(ValueError):
-            emit_results([], None, "xml", str(tmp_path / "x"))
+    def test_unknown_format(self):
+        sink = io.StringIO()
+        with pytest.raises(ValueError, match="format"):
+            write_results([], None, "xml", sink)
+        assert sink.getvalue() == ""
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     def test_non_finite_values_are_refused_before_any_byte(self, fmt):
@@ -503,17 +505,6 @@ class TestResultFiles:
                 write_results(records, fit_arg, fmt, sink)
             assert sink.getvalue() == ""
 
-    def test_refused_write_leaves_existing_file_untouched(self, tmp_path):
-        path = tmp_path / "results.csv"
-        path.write_bytes(b"old results\n")
-        bad = SweepRecord(4, math.nan, 0.25, 0.0, 10)
-        with pytest.raises(ValueError, match="sigma_beta_empirical"):
-            emit_results([bad], None, "csv", str(path))
-        assert path.read_bytes() == b"old results\n"
-        with pytest.raises(ValueError, match="format"):
-            emit_results([], None, "xml", str(path))
-        assert path.read_bytes() == b"old results\n"
-
     @pytest.mark.parametrize("name", sorted(GOLDEN_PLANS))
     def test_golden_bytes(self, name):
         records = collect_sweep_records(GOLDEN_PLANS[name])
@@ -521,6 +512,5 @@ class TestResultFiles:
             assert all(r.invalid_fraction > 0 for r in records)
         fit = fit_from_records(records)
         for (fmt, with_fit), expected in GOLDEN_SHA256[name].items():
-            sink = io.StringIO()
-            write_results(records, fit if with_fit else None, fmt, sink)
-            assert hashlib.sha256(sink.getvalue().encode()).hexdigest() == expected, (fmt, with_fit)
+            text = render(records, fit if with_fit else None, fmt)
+            assert hashlib.sha256(text.encode()).hexdigest() == expected, (fmt, with_fit)
