@@ -99,6 +99,7 @@ class BathSpec:
         object.__setattr__(self, "m_atoms", _at_least("m_atoms", self.m_atoms))
         for name in ("epsilon", "beta_true", "alpha", "tau"):
             _real(name, getattr(self, name), positive=name != "beta_true")
+        _real("alpha * tau", self.theta)  # each finite, their product can still under- or overflow
 
     @property
     def theta(self) -> float:
@@ -175,8 +176,9 @@ def _beta_from_phase(phi_b_hat: float, bath: BathSpec) -> float:
 
 
 def _request(bath, n_atoms, shots, trials, mode, rng, estimator) -> tuple:
-    """The engine's arguments once checked, with the counts as ints: also the key
-    under which a sweep keeps a noon point's phases for :func:`noon_phase_estimates`."""
+    """The engine's arguments once checked, with the counts as ints: the one check of a point, for the
+    engine and a sweep plan alike, and the key under which a sweep keeps a noon point's phases for
+    :func:`noon_phase_estimates`."""
     n_atoms, shots = _at_least("n_atoms", n_atoms), _binomial_n("shots", shots)
     require_phase_window(bath, n_atoms)
     _one_of("bath mode", mode, BATH_MODES)
@@ -220,27 +222,28 @@ def run_interferometer_trials(
     a sampled bath loops over the substreams. Both estimates are then computed
     once per distinct port count, as the inversion depends on the count alone.
     """
-    _, n_atoms, shots, trials, *_ = _request(bath, n_atoms, shots, trials, mode, rng, estimator)
-    return next(_run_points(bath, [(n_atoms, shots, rng)], trials, mode, estimator))
+    return next(_run_points([_request(bath, n_atoms, shots, trials, mode, rng, estimator)]))
 
 
-def _run_points(bath: BathSpec, points: list, trials: int, mode: str, estimator: str,
-                noon: bool = False) -> Iterator[tuple]:
-    """Yield :func:`run_interferometer_trials` of each checked ``(n_atoms, shots, stream)`` of ``points``
-    (one master seed); a fixed bath draws all their counts in one call, a sampled bath each as it is taken.
-    A ``noon`` sweep resumed past its last point replaces the kept phases with its own (none above
-    ``_PHASE_LIMIT``); one that aborts before that leaves them."""
+def _run_points(requests: list, noon: bool = False) -> Iterator[tuple]:
+    """Yield :func:`run_interferometer_trials` of each request that :func:`_request` checked; the requests
+    share bath, trials, mode, estimator and master seed. A fixed bath draws all their counts in one call,
+    a sampled bath each as it is taken. A ``noon`` sweep resumed past its last point replaces the kept
+    phases with its own, each under the request it was handed (none above ``_PHASE_LIMIT``); one that
+    aborts before that leaves them."""
     global _phase_store
     import numpy as np
 
-    keep, kept = noon and len(points) * trials <= _PHASE_LIMIT, {}
+    bath, _, _, trials, mode, _, estimator = requests[0]
+    keep, kept = noon and len(requests) * trials <= _PHASE_LIMIT, {}
     raw, theta, m_atoms = estimator == "raw", bath.theta, bath.m_atoms
-    deltas = [reference_phase(bath, n_atoms) for n_atoms, _, _ in points]
+    deltas = [reference_phase(bath, n_atoms) for _, n_atoms, *_ in requests]
     if mode == "fixed_m":
         m = round(m_atoms * bath.excitation)
-        ports = [noon_outcome_probability(n, theta * m + delta / n) for (n, *_), delta in zip(points, deltas)]
-        drawn = RngStream._binomials(trials, [(s, shots, p) for (_, shots, s), p in zip(points, ports)])
-    for j, ((n_atoms, shots, stream), delta) in enumerate(zip(points, deltas)):
+        ports = [noon_outcome_probability(n, theta * m + delta / n) for (_, n, *_), delta in zip(requests, deltas)]
+        drawn = RngStream._binomials(trials, [(s, shots, p) for (_, _, shots, _, _, s, _), p in zip(requests, ports)])
+    for j, (request, delta) in enumerate(zip(requests, deltas)):
+        _, n_atoms, shots, _, _, stream, _ = request
         if mode == "fixed_m":
             counts = drawn[j]
         else:
@@ -256,7 +259,7 @@ def _run_points(bath: BathSpec, points: list, trials: int, mode: str, estimator:
             phases[i], betas[i] = phi, _beta_from_phase(phi, bath)
         phases, betas = phases[index], betas[index]
         if keep:
-            kept[_request(bath, n_atoms, shots, trials, mode, stream, estimator)] = phases
+            kept[request] = phases
         yield phases, betas
     if noon:
         _phase_store = kept  # one rebinding, so a concurrent request sees one sweep's phases or the other's

@@ -15,17 +15,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields
+from itertools import starmap
 from typing import Iterable, Optional, Sequence, TextIO
 
 from .estimators import ESTIMATORS, run_thermalizing_trials
-from .interferometry import (
-    BATH_MODES,
-    BathSpec,
-    _run_points,
-    require_phase_window,
-    sigma_beta_h_theory,
-    sigma_beta_sn_theory,
-)
+from .interferometry import BATH_MODES, BathSpec, _request, _run_points, sigma_beta_h_theory, sigma_beta_sn_theory
 from .rng import _SUBSTREAM_STRIDE, RngStream, _at_least, _binomial_n, _one_of, _real
 from .thermal import TwoLevelSpec, excitation_probability, shot_noise_sigma_beta
 
@@ -89,7 +83,13 @@ class SweepPlan:
     repetitions: int = 2
 
     def validate(self) -> None:
-        """Check every protocol invariant before any trial runs."""
+        """Check the whole plan before any trial runs: the plan-level invariants, then every point
+        through the checks its engine makes, computing every point's theory on the way."""
+        self._points()
+
+    def _points(self) -> list[tuple]:
+        """``(n, theory, engine arguments)`` of every point, in plan order: the one construction of a
+        point's stream, theory and checked engine request, made before any trial runs."""
         if self.protocol not in PROTOCOLS:
             raise ValueError(f"unknown protocol {self.protocol!r}; expected one of {PROTOCOLS}")
         values = tuple(_at_least("each of n_values", n) for n in self.n_values)
@@ -97,27 +97,30 @@ class SweepPlan:
             raise ValueError(f"need at least {MIN_FIT_POINTS} sweep sizes for a fit, got {len(values)}")
         if any(b <= a for a, b in zip(values, values[1:])):
             raise ValueError(f"n_values must be strictly increasing, got {values}")
-        RngStream(self.master_seed)  # a 64-bit unsigned integer
+        streams = [RngStream(self.master_seed, j) for j in range(len(values))]  # a 64-bit unsigned seed
         # one substream per trial, and a stream has 2**32 of them
-        if _at_least("trials_per_n", self.trials_per_n, 2) > _SUBSTREAM_STRIDE:
+        trials = _at_least("trials_per_n", self.trials_per_n, 2)
+        if trials > _SUBSTREAM_STRIDE:
             raise ValueError(f"trials_per_n must lie in [2, 2**32], got {self.trials_per_n}")
-        _one_of("estimator", self.estimator, ESTIMATORS)
-        _one_of("bath_mode", self.bath_mode, BATH_MODES)
+        estimator, mode = self.estimator, self.bath_mode
+        _one_of("estimator", estimator, ESTIMATORS)
+        _one_of("bath_mode", mode, BATH_MODES)
         if self.protocol == "thermalizing":
-            _real("beta_true", self.beta_true, False)  # refuses None too
-            _real("epsilon", self.epsilon)
-        else:
-            if self.bath is None:
-                raise ValueError(f"{self.protocol} sweep needs a bath specification")
-            if self.protocol == "noon":
-                _at_least("repetitions", self.repetitions, 2)
-            # phase window must hold at the largest swept size
-            require_phase_window(self.bath, max(values) if self.protocol == "noon" else 1)
-        drawn = {"repetitions": self.repetitions} if self.protocol == "noon" else {"each of n_values": values[-1]}
-        if self.protocol != "thermalizing" and self.bath_mode == "sampled_m":
-            drawn["bath.m_atoms"] = self.bath.m_atoms
-        for what, count in drawn.items():  # numpy's binomial takes each as its n, an int64
-            _binomial_n(what, count)
+            beta = self.beta_true
+            _real("beta_true", beta, False)  # refuses None too
+            # numpy's binomial takes each size as its n, an int64
+            specs = [TwoLevelSpec(_binomial_n("each of n_values", n), self.epsilon) for n in values]
+            return [(spec.n_atoms, shot_noise_sigma_beta(spec, beta), (spec, beta, trials, estimator, s))
+                    for spec, s in zip(specs, streams)]
+        bath = self.bath
+        if bath is None:
+            raise ValueError(f"{self.protocol} sweep needs a bath specification")
+        if self.protocol == "sn":  # n single-atom shots
+            return [(n, sigma_beta_sn_theory(bath, n), _request(bath, 1, n, trials, mode, s, estimator))
+                    for n, s in zip(values, streams)]
+        reps = _at_least("repetitions", self.repetitions, 2)  # shots of n atoms each
+        return [(n, sigma_beta_h_theory(bath, n) / math.sqrt(reps), _request(bath, n, reps, trials, mode, s, estimator))
+                for n, s in zip(values, streams)]
 
 
 def _record(n: int, theory: float, betas) -> SweepRecord:
@@ -141,31 +144,23 @@ def collect_sweep_records(plan: SweepPlan) -> list[SweepRecord]:
     """Run every sweep point and return its record, in plan order.
 
     Point ``j`` draws from stream ``(master_seed, j)`` with one substream per
-    trial, so the records are a pure function of the plan. Every point's theory
-    comes first, so a configuration without a temperature response fails before
-    any trial runs; an interferometric plan then runs all its points in one
-    engine call. A point with fewer than two valid trials aborts the sweep with
-    :class:`SweepAbortError`, naming the first such size.
+    trial, so the records are a pure function of the plan. The points, their
+    theories and their engine requests are those :meth:`SweepPlan.validate`
+    checks, built once before any trial runs, so a configuration without a
+    temperature response fails first; an interferometric plan then runs all its
+    points in one engine call. A point with fewer than two valid trials aborts
+    the sweep with :class:`SweepAbortError`, naming the first such size.
     """
-    plan.validate()
-    bath, trials, mode, estimator = plan.bath, plan.trials_per_n, plan.bath_mode, plan.estimator
-    streams = [RngStream(plan.master_seed, j) for j in range(len(plan.n_values))]
-    # each record is built as soon as its point's estimates arrive, so an abort stops the sweep there
+    points = plan._points()
+    requests = [args for _, _, args in points]
     if plan.protocol == "thermalizing":
-        specs = [TwoLevelSpec(n_atoms=n, epsilon=plan.epsilon) for n in plan.n_values]
-        theories = [shot_noise_sigma_beta(spec, plan.beta_true) for spec in specs]
-        return [_record(n, theory, run_thermalizing_trials(spec, plan.beta_true, trials, estimator, s))
-                for n, theory, spec, s in zip(plan.n_values, theories, specs, streams)]
-    if plan.protocol == "sn":
-        theories = [sigma_beta_sn_theory(bath, n) for n in plan.n_values]
-        points = [(1, n, s) for n, s in zip(plan.n_values, streams)]
+        results = starmap(run_thermalizing_trials, requests)
     else:
-        theories = [sigma_beta_h_theory(bath, n) / math.sqrt(plan.repetitions) for n in plan.n_values]
-        points = [(n, plan.repetitions, s) for n, s in zip(plan.n_values, streams)]
-    results = _run_points(bath, points, trials, mode, estimator, noon=plan.protocol == "noon")
-    # the engine leads the zip, so it runs past its last point, where a noon sweep hands its phases
-    # to noon_phase_estimates, only once every record is built: an abort leaves the kept phases
-    return [_record(n, theory, betas) for (_, betas), n, theory in zip(results, plan.n_values, theories)]
+        results = (betas for _, betas in _run_points(requests, noon=plan.protocol == "noon"))
+    # each record is built as soon as its point's estimates arrive, so an abort stops the sweep there; the
+    # engine leads the zip, so it runs past its last point, where a noon sweep hands its phases to
+    # noon_phase_estimates, only once every record is built: an abort leaves the kept phases
+    return [_record(n, theory, betas) for betas, (n, theory, _) in zip(results, points)]
 
 
 def fit_power_law(points: Sequence[tuple[int, float]]) -> ScalingFit:
@@ -331,15 +326,15 @@ def read_jsonl_results(path: str) -> tuple[list[SweepRecord], Optional[ScalingFi
 
     What :func:`write_results` never writes (a ``NaN`` or ``Infinity`` token, a missing
     field, malformed JSON, a string or bool where a number belongs, a count or spread
-    out of range, any line after the fit line) raises a ValueError naming ``path:line``."""
+    out of range, any line after the fit line, bytes that are not UTF-8) raises a ValueError naming ``path:line``."""
     records: list[SweepRecord] = []
     fit = None
-    with open(path) as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
+    with open(path, "rb") as handle:
+        for lineno, raw in enumerate(handle, start=1):
             try:
+                line = raw.decode("utf-8").strip()  # UnicodeDecodeError is a ValueError
+                if not line:
+                    continue
                 if fit is not None:
                     raise ValueError("a line after the fit line; the fit is written once, last")
                 obj = json.loads(line, parse_constant=_refuse_constant)

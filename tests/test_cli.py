@@ -414,7 +414,9 @@ class TestDegenerateSensitivity:
         (("sweep", "--protocol", "sn", "--n-values", "10,20,30,40", "--trials", "50", "--bath-m", "100",
           "--alpha", "5e-324", "--tau", "1", "--beta-true", "1", "--seed", "1", "--out", "x.csv"), "sigma_m"),
         (("dephasing", "--bath-m", "100", "--theta", "1e308", "--n", "3", "--beta-true", "1"), "n_atoms * theta"),
-    ], ids=["stats", "stats-nan", "thermalizing sweep", "sn sweep", "dephasing"])
+        (("sweep", "--protocol", "noon", "--n-values", "2,4,8,16", "--trials", "20", "--reps", "10", "--bath-m", "100",
+          "--alpha", "1e-200", "--tau", "1e-200", "--beta-true", "1", "--seed", "1", "--out", "x.csv"), "alpha * tau"),
+    ], ids=["stats", "stats-nan", "thermalizing sweep", "sn sweep", "dephasing", "noon sweep"])
     def test_overflow_exits_2_before_any_output_or_trial(self, argv, message, tmp_path, drawn_streams, capsys,
                                                         monkeypatch):
         # each returned inf, NaN or 0.0 (or a bare "math domain error"); both sweeps ran every trial first
@@ -467,6 +469,16 @@ def test_import_does_not_load_scipy():
     result = _fresh_python(probe)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False False"
+
+
+def test_plan_validation_does_not_load_numpy():
+    # perfbench's setup probe times import plus validate() of these plans (A4, A5 and A9, new seeds)
+    probe = ("import sys\nsys.path.insert(0, sys.argv[1])\nimport plans\n"
+             "for workload in plans.CAMPAIGNS:\n    plans.campaign_plan(workload, 1, 0).validate()\n"
+             "print('numpy' in sys.modules)")
+    result = _fresh_python(probe, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
 
 
 LOADED = "import sys\n{}\nprint(sorted(m for m in sys.modules if m.startswith('thermoscale.')))"

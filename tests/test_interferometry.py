@@ -210,6 +210,10 @@ class TestIntegerInputs:
         (lambda bath: sigma_beta_h_theory(BathSpec(10**300, 1e10, 1e-310, 0.01, 1.0), 2), r"sigma_beta .* got 0\.0"),
         (lambda bath: max_theta(10**200, 10**200), r"n_atoms \* m_atoms must convert to a float"),
         (lambda bath: dephasing_visibility(make_bath(theta=1e308), 3), r"n_atoms \* theta must be a positive"),
+        # appended, so the earlier cases keep their ids: a finite alpha and tau whose product leaves the
+        # floats, which gave a ZeroDivisionError in the engine and sigma_beta_h_theory
+        (lambda bath: BathSpec(100, 1.0, 1.0, 1e-200, 1e-200), r"alpha \* tau must be a positive finite real, got 0\.0"),
+        (lambda bath: BathSpec(100, 1.0, 1.0, 1e200, 1e200), r"alpha \* tau must be a positive finite real, got inf"),
     ]
 
     @pytest.mark.parametrize(

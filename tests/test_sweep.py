@@ -153,6 +153,22 @@ class TestPlanValidation:
         with pytest.raises(ValueError, match=r"must be below 2\*\*63, got 9223372036854775808"):
             self.DRAWN_COUNTS[what](2**63).validate()
 
+    # validate computes every point's theory, so a plan whose closed form has no temperature response,
+    # or leaves the floats, is refused there and not one call later
+    @pytest.mark.parametrize(
+        "plan, match",
+        [
+            (SweepPlan("noon", (2, 4, 8, 16), 20, 1, bath=BathSpec(100, 1.0, 800.0, 0.001, 1.0), repetitions=10),
+             r"d<m>/dbeta of the bath underflowed"),
+            (SweepPlan("thermalizing", (16, 32, 64, 128), 20, 1, beta_true=800.0), "eps_prime underflowed"),
+            (SweepPlan("sn", (10, 20, 30, 40), 50, 1, bath=BathSpec(100, 1.0, 1.0, 5e-324, 1.0)), "sigma_m"),
+        ],
+        ids=["noon-no-response", "thermalizing-no-response", "sn-sigma-m-overflow"],
+    )
+    def test_theories_are_computed(self, plan, match):
+        with pytest.raises(ValueError, match=match):
+            plan.validate()
+
     def test_phase_window_refused_at_largest_size(self):
         bath = BathSpec(100, 1.0, 1.0, max_theta(100, 8), 1.0)
         SweepPlan("noon", (2, 4, 8), 10, 0, bath=bath, repetitions=8)  # no validate yet
@@ -453,6 +469,12 @@ class TestResultFiles:
         path = tmp_path / "bad.jsonl"
         path.write_text(self.VALID_LINE + "\n" + line + "\n")
         with pytest.raises(ValueError, match=f"bad.jsonl:2: {match}"):
+            read_jsonl_results(str(path))
+
+    def test_jsonl_reader_names_the_line_of_bytes_that_are_not_utf8(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(self.VALID_LINE.encode() + b"\n\xff\xfe\n")
+        with pytest.raises(ValueError, match="bad.jsonl:2: 'utf-8' codec can't decode byte 0xff"):
             read_jsonl_results(str(path))
 
     FIT_LINE = '{"fit": {"slope": -0.5, "intercept": 0.0, "stderr_slope": 0.0, "r_squared": 1.0}}'
