@@ -2,8 +2,9 @@
 
 ``thermoscale.rng.RngStream._binomials``, the draw that takes all fixed-bath points
 of a sweep at once, calls :func:`first_block_binomials`. It computes
-the first Philox4x64-10 block of every substream of every point in one array pass, as
-they share one key (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11),
+the first Philox4x64-10 block of every substream of every point in array passes of at most
+2**14 substreams, as they share one key (Salmon et al., "Parallel random numbers: as easy
+as 1, 2, 3", SC'11), so its working set stays near 4 MiB however many trials a point has,
 and runs numpy's BTPE sampler (Kachitvichyanukul & Schmeiser, CACM 31(2), 1988) on its
 four doubles with each point's ``n`` and ``p``, two iterations with numpy's operations in
 numpy's order. It returns which trials those do not finish; the caller redraws them.
@@ -35,6 +36,8 @@ _HALF_MASK = 0xFFFFFFFF
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _PHILOX_ROUNDS = 10
+# most substreams, summed over the groups, that one pass holds with its block and BTPE temporaries
+_PASS = 2**14
 
 # whether the installed numpy is the one whose sampler this module mirrors
 MIRRORS_NUMPY = np.__version__.split(".")[:2] == ["2", "4"]
@@ -54,9 +57,13 @@ def first_block_binomials(key: int, count: int, groups: list) -> tuple[np.ndarra
     btpe = [(g, base, n, r) for g, (base, n, p) in enumerate(groups) if (r := min(p, 1.0 - p)) * n > 30.0]
     if count and btpe and MIRRORS_NUMPY:
         rows, bases, ns, rs = zip(*btpe)
-        drawn, redraw[list(rows)] = _btpe_twice(_philox_first_doubles(key, bases, count), ns, rs)
-        for row, n, first in zip(rows, ns, drawn):
-            counts[row] = n - first if groups[row][2] > 0.5 else first
+        step = max(1, _PASS // len(groups))
+        for start in range(0, count, step):
+            span = slice(start, min(count, start + step))
+            doubles = _philox_first_doubles(key, [base + start for base in bases], span.stop - start)
+            drawn, redraw[list(rows), span] = _btpe_twice(doubles, ns, rs)
+            for row, n, first in zip(rows, ns, drawn):
+                counts[row, span] = n - first if groups[row][2] > 0.5 else first
     return counts, redraw
 
 

@@ -17,9 +17,10 @@ protocol is the entangled one with one atom and one shot per probe. With a
 fixed bath the port probability is the same for every trial of a point, so
 all port counts come from one array draw, ``RngStream._binomials``,
 bit for bit numpy's binomial on each trial's substream; a sweep draws all its
-fixed-bath points at once. With a sampled bath each trial still positions its
-stream and draws ``m`` and then the port count in a Python loop:
-``perfbench/selftest.py`` requires one stream step per trial on that workload.
+fixed-bath points at once, in passes of at most 2**14 substreams. With a sampled
+bath each trial still positions its stream and draws ``m`` and then the port count
+in a Python loop (``perfbench/selftest.py`` requires one stream step per trial on
+that workload), and the port probability is computed once per distinct ``m``.
 The phase and beta estimates are computed once per distinct port count and
 gathered into per-trial float64 arrays.
 
@@ -247,10 +248,12 @@ def _run_points(requests: list, noon: bool = False) -> Iterator[tuple]:
         if mode == "fixed_m":
             counts = drawn[j]
         else:
-            offset, draws = delta / n_atoms, []
+            offset, draws, ports = delta / n_atoms, [], {}  # ports: the port probability of each bath count
             for gen in stream.generators(trials):
                 m = gen.binomial(m_atoms, bath.excitation)
-                draws.append(gen.binomial(shots, noon_outcome_probability(n_atoms, theta * m + offset)))
+                if m not in ports:
+                    ports[m] = noon_outcome_probability(n_atoms, theta * m + offset)
+                draws.append(gen.binomial(shots, ports[m]))
             counts = np.array(draws)
         distinct, index = np.unique(counts, return_inverse=True)
         phases, betas = np.empty((2, len(distinct)), dtype=float)

@@ -32,12 +32,7 @@ from thermoscale.sweep import (
     matched_thermometer_size,
     write_results,
 )
-from thermoscale.thermal import (
-    TwoLevelSpec,
-    doppler_precision,
-    shot_noise_sigma_beta,
-    thermal_summary,
-)
+from thermoscale.thermal import TwoLevelSpec, doppler_precision, shot_noise_sigma_beta, thermal_summary
 
 LN3 = math.log(3.0)
 
@@ -57,10 +52,8 @@ def test_a1_analytic_identities():
             x = 0.01 + i * (10.0 - 0.01) / 39
             beta = x / eps
             s = thermal_summary(spec, beta)
-            slope = (
-                thermal_summary(spec, beta + h).mean_energy
-                - thermal_summary(spec, beta - h).mean_energy
-            ) / (2.0 * h)
+            up, down = thermal_summary(spec, beta + h).mean_energy, thermal_summary(spec, beta - h).mean_energy
+            slope = (up - down) / (2.0 * h)
             worst_fd = max(worst_fd, abs(-slope - s.energy_variance) / s.energy_variance)
             worst_fisher = max(worst_fisher, abs(s.fisher_info - s.energy_variance))
             for n in (1, 10):
@@ -115,14 +108,8 @@ def csv_bytes(records):
 
 @pytest.fixture(scope="module")
 def a4_setup():
-    plan = SweepPlan(
-        protocol="thermalizing",
-        n_values=tuple(16 * 2**i for i in range(9)),  # 16 .. 4096
-        trials_per_n=10**4,
-        master_seed=40404,
-        epsilon=1.0,
-        beta_true=1.0,
-    )
+    sizes = tuple(16 * 2**i for i in range(9))  # 16 .. 4096
+    plan = SweepPlan("thermalizing", sizes, trials_per_n=10**4, master_seed=40404, epsilon=1.0, beta_true=1.0)
     start = time.time()
     records = collect_sweep_records(plan)
     elapsed = time.time() - start
@@ -145,18 +132,8 @@ def test_a5_heisenberg_scaling():
     start = time.time()
     n_values = (2, 4, 8, 16, 32)
     reps = 200
-    bath = BathSpec(
-        m_atoms=10**4, epsilon=1.0, beta_true=1.0, alpha=max_theta(10**4, 32), tau=1.0
-    )
-    plan = SweepPlan(
-        protocol="noon",
-        n_values=n_values,
-        trials_per_n=10**3,
-        master_seed=50505,
-        bath=bath,
-        bath_mode="fixed_m",
-        repetitions=reps,
-    )
+    bath = BathSpec(m_atoms=10**4, epsilon=1.0, beta_true=1.0, alpha=max_theta(10**4, 32), tau=1.0)
+    plan = SweepPlan("noon", n_values, 10**3, master_seed=50505, bath=bath, bath_mode="fixed_m", repetitions=reps)
     # the beta slope is fitted only where the delta-method theory holds: the
     # predicted count spread must stay inside the count's distance to either
     # end of (0, m_atoms). Outside it (weak signal) a count of 0 has
@@ -176,9 +153,7 @@ def test_a5_heisenberg_scaling():
 
     phase_ratios = []
     for j, n in enumerate(n_values):
-        phases = noon_phase_estimates(
-            bath, n, reps, 10**3, "fixed_m", RngStream(plan.master_seed, j)
-        )
+        phases = noon_phase_estimates(bath, n, reps, 10**3, "fixed_m", RngStream(plan.master_seed, j))
         spread = float(np.std(phases, ddof=1))
         phase_ratios.append(spread * n * math.sqrt(reps))
     elapsed = time.time() - start
@@ -199,14 +174,7 @@ def test_a5_heisenberg_scaling():
 def test_a6_sn_interferometer_scaling():
     start = time.time()
     bath = BathSpec(m_atoms=10**4, epsilon=1.0, beta_true=1.0, alpha=max_theta(10**4), tau=1.0)
-    plan = SweepPlan(
-        protocol="sn",
-        n_values=(10**2, 10**3, 10**4, 10**5),
-        trials_per_n=10**3,
-        master_seed=60606,
-        bath=bath,
-        bath_mode="fixed_m",
-    )
+    plan = SweepPlan("sn", (10**2, 10**3, 10**4, 10**5), 10**3, master_seed=60606, bath=bath, bath_mode="fixed_m")
     records = collect_sweep_records(plan)
     fit = fit_from_records(records)
     ratios = [r.sigma_beta_empirical / r.sigma_beta_theory for r in records]
@@ -251,14 +219,7 @@ def test_a8_dephasing_visibility():
 def test_a9_bath_intrinsic_floor():
     start = time.time()
     bath = BathSpec(m_atoms=100, epsilon=1.0, beta_true=1.0, alpha=math.pi / 200.0, tau=1.0)
-    plan = SweepPlan(
-        protocol="sn",
-        n_values=(10**2, 10**3, 10**4, 10**5),
-        trials_per_n=2000,
-        master_seed=90909,
-        bath=bath,
-        bath_mode="sampled_m",
-    )
+    plan = SweepPlan("sn", (10**2, 10**3, 10**4, 10**5), 2000, master_seed=90909, bath=bath, bath_mode="sampled_m")
     records = collect_sweep_records(plan)
     spreads = [r.sigma_beta_empirical for r in records]
     floor = bath_intrinsic_sigma(100, 1.0, 1.0)

@@ -11,7 +11,6 @@ import pytest
 import thermoscale
 from thermoscale import cli
 from thermoscale.cli import main
-from thermoscale.rng import RngStream
 from thermoscale.sweep import CSV_HEADER
 
 
@@ -19,27 +18,22 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def printed(capsys):
+    """The ``key=value`` lines of standard output, as a dict."""
+    return dict(line.split("=") for line in capsys.readouterr().out.strip().splitlines())
+
+
 class TestStats:
     def test_key_value_output(self, capsys):
         assert run_cli("stats", "--epsilon", "1.0", "--beta", "0.0") == 0
-        out = capsys.readouterr().out
-        values = dict(line.split("=") for line in out.strip().splitlines())
-        assert set(values) == {
-            "log_z",
-            "mean_energy",
-            "energy_variance",
-            "eps_bar",
-            "eps_prime",
-            "fisher_info",
-        }
+        values = printed(capsys)
+        assert set(values) == {"log_z", "mean_energy", "energy_variance", "eps_bar", "eps_prime", "fisher_info"}
         assert float(values["log_z"]) == pytest.approx(math.log(2.0))
         assert float(values["mean_energy"]) == pytest.approx(0.5)
 
     def test_ensemble_size_flag(self, capsys):
         assert run_cli("stats", "--epsilon", "1.0", "--beta", "0.0", "--n", "10") == 0
-        values = dict(
-            line.split("=") for line in capsys.readouterr().out.strip().splitlines()
-        )
+        values = printed(capsys)
         assert float(values["mean_energy"]) == pytest.approx(5.0)
         assert float(values["energy_variance"]) == pytest.approx(2.5)
 
@@ -50,9 +44,7 @@ class TestStats:
 class TestFig1:
     def test_writes_table(self, tmp_path, capsys):
         out = tmp_path / "fig1.csv"
-        assert run_cli(
-            "fig1", "--epsilon", "1.0", "--beta-max", "10", "--points", "21", "--out", str(out)
-        ) == 0
+        assert run_cli("fig1", "--epsilon", "1.0", "--beta-max", "10", "--points", "21", "--out", str(out)) == 0
         lines = out.read_text().splitlines()
         assert lines[0] == "beta_eps,eps_bar_over_eps,sqrt_n_sigma_beta_eps"
         assert len(lines) == 22
@@ -65,11 +57,8 @@ class TestFig1:
         assert out.read_text().splitlines()[1:] == ["0,0.5,2"]
 
     def test_unwritable_out(self, capsys):
-        code = run_cli(
-            "fig1", "--epsilon", "1", "--beta-max", "1", "--points", "3",
-            "--out", "/nonexistent-dir/fig1.csv",
-        )
-        assert code == 4
+        out = "/nonexistent-dir/fig1.csv"
+        assert run_cli("fig1", "--epsilon", "1", "--beta-max", "1", "--points", "3", "--out", out) == 4
         assert "/nonexistent-dir/fig1.csv" in capsys.readouterr().err
 
     def test_refused_write_leaves_existing_file_untouched(self, tmp_path, capsys):
@@ -83,16 +72,14 @@ class TestFig1:
     def test_huge_splitting_writes_its_table(self, tmp_path):
         # the rows depend on x = beta * epsilon alone, so epsilon**2 overflowing refuses none of them
         out = tmp_path / "fig1.csv"
-        code = run_cli("fig1", "--epsilon", "1e200", "--beta-max", "1e-199", "--points", "3", "--out", str(out))
-        assert code == 0
+        assert run_cli("fig1", "--epsilon", "1e200", "--beta-max", "1e-199", "--points", "3", "--out", str(out)) == 0
         assert out.read_text().splitlines()[1] == "0,0.5,2"
 
 
 class TestSweep:
-    BASE = [
-        "sweep", "--protocol", "thermalizing", "--n-values", "16,32,64,128",
-        "--trials", "400", "--beta-true", "1.0", "--seed", "77",
-    ]
+    BASE = "sweep --protocol thermalizing --n-values 16,32,64,128 --trials 400 --beta-true 1.0 --seed 77".split()
+    # every trial of the first point is invalid, so the sweep aborts (exit 3)
+    ABORTING = "sweep --protocol thermalizing --n-values 1,2,3,4 --trials 30 --beta-true 0.0 --estimator raw --seed 5"
 
     def test_csv_output_and_determinism(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -113,57 +100,36 @@ class TestSweep:
 
     def test_interferometric_sweep(self, tmp_path):
         out = tmp_path / "sn.csv"
-        code = run_cli(
-            "sweep", "--protocol", "sn", "--n-values", "50,100,200,400", "--trials", "100",
-            "--bath-m", "100", "--alpha", "0.015", "--tau", "1.0", "--beta-true", "1.0",
-            "--bath-mode", "sampled", "--seed", "3", "--out", str(out),
-        )
-        assert code == 0
+        assert run_cli(*"sweep --protocol sn --n-values 50,100,200,400 --trials 100 --bath-m 100 --alpha 0.015 "
+                        "--tau 1.0 --beta-true 1.0 --bath-mode sampled --seed 3".split(), "--out", str(out)) == 0
         assert len(out.read_text().splitlines()) == 6
 
     def test_phase_window_violation_exits_2(self, tmp_path, capsys):
-        code = run_cli(
-            "sweep", "--protocol", "noon", "--n-values", "2,4,8,16", "--trials", "50",
-            "--reps", "20", "--bath-m", "100", "--alpha", "0.01", "--tau", "1.0",
-            "--beta-true", "1.0", "--seed", "3", "--out", str(tmp_path / "x.csv"),
-        )
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "pi - 0.001" in err
+        assert run_cli(*"sweep --protocol noon --n-values 2,4,8,16 --trials 50 --reps 20 --bath-m 100 --alpha 0.01 "
+                        "--tau 1.0 --beta-true 1.0 --seed 3".split(), "--out", str(tmp_path / "x.csv")) == 2
+        assert "pi - 0.001" in capsys.readouterr().err
 
     def test_missing_bath_flags_exit_2(self, tmp_path, capsys):
-        code = run_cli(
-            "sweep", "--protocol", "sn", "--n-values", "10,20,40,80", "--trials", "50",
-            "--seed", "3", "--out", str(tmp_path / "x.csv"),
-        )
-        assert code == 2
+        argv = "sweep --protocol sn --n-values 10,20,40,80 --trials 50 --seed 3".split()
+        assert run_cli(*argv, "--out", str(tmp_path / "x.csv")) == 2
         assert "--bath-m" in capsys.readouterr().err
 
     def test_all_invalid_exits_3(self, tmp_path, capsys):
-        code = run_cli(
-            "sweep", "--protocol", "thermalizing", "--n-values", "1,2,3,4",
-            "--trials", "30", "--beta-true", "0.0", "--estimator", "raw",
-            "--seed", "5", "--out", str(tmp_path / "x.csv"),
-        )
-        assert code == 3
+        assert run_cli(*self.ABORTING.split(), "--out", str(tmp_path / "x.csv")) == 3
         err = capsys.readouterr().err
         assert err.startswith("sweep aborted:") and "n=1" in err
 
     def test_zero_spread_exits_3_and_writes_nothing(self, tmp_path, capsys):
         # the 12 valid estimates at n=10 all read -0.02000067: no log(sigma) to fit, where this exited 2
         out = tmp_path / "x.csv"
-        code = run_cli(
-            "sweep", "--protocol", "sn", "--n-values", "10,20,30,40", "--trials", "50", "--bath-m", "100",
-            "--alpha", "0.001", "--tau", "1", "--beta-true", "1", "--seed", "1", "--out", str(out),
-        )
-        assert code == 3
+        assert run_cli(*"sweep --protocol sn --n-values 10,20,30,40 --trials 50 --bath-m 100 --alpha 0.001 --tau 1 "
+                        "--beta-true 1 --seed 1".split(), "--out", str(out)) == 3
         err = capsys.readouterr().err
         assert err.startswith("sweep aborted:") and "n=10" in err and "zero spread" in err
         assert not out.exists()
 
     def test_unwritable_out_exits_4(self, capsys):
-        code = run_cli(*self.BASE, "--out", "/nonexistent-dir/deep/x.csv")
-        assert code == 4
+        assert run_cli(*self.BASE, "--out", "/nonexistent-dir/deep/x.csv") == 4
         assert "/nonexistent-dir/deep/x.csv" in capsys.readouterr().err
 
     def test_refused_write_leaves_existing_file_untouched(self, tmp_path, monkeypatch, capsys):
@@ -171,11 +137,7 @@ class TestSweep:
         # can carry (exit 2), or an aborted sweep (exit 3), leaves the old file as it was
         out = tmp_path / "results.csv"
         out.write_bytes(b"old results\n")
-        code = run_cli(
-            "sweep", "--protocol", "thermalizing", "--n-values", "1,2,3,4", "--trials", "30", "--beta-true", "0.0",
-            "--estimator", "raw", "--seed", "5", "--out", str(out),
-        )
-        assert code == 3
+        assert run_cli(*self.ABORTING.split(), "--out", str(out)) == 3
         assert out.read_bytes() == b"old results\n"
         fit = cli.fit_from_records
         monkeypatch.setattr(cli, "fit_from_records", lambda records: replace(fit(records), r_squared=math.nan))
@@ -185,19 +147,14 @@ class TestSweep:
             assert out.read_bytes() == b"old results\n"
 
     def test_unparseable_sizes_exit_2(self, tmp_path, capsys):
-        code = run_cli(
-            "sweep", "--protocol", "thermalizing", "--n-values", "16,abc",
-            "--trials", "50", "--beta-true", "1.0", "--seed", "5",
-            "--out", str(tmp_path / "x.csv"),
-        )
-        assert code == 2
+        argv = "sweep --protocol thermalizing --n-values 16,abc --trials 50 --beta-true 1.0 --seed 5".split()
+        assert run_cli(*argv, "--out", str(tmp_path / "x.csv")) == 2
 
 
 class TestVerify:
     def test_all_checks_pass(self, capsys):
         assert run_cli("verify") == 0
-        out = capsys.readouterr().out
-        lines = out.strip().splitlines()
+        lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 4
         assert all(line.startswith("ok") for line in lines)
 
@@ -213,24 +170,14 @@ class TestVerify:
 
 class TestDephasing:
     def test_closed_form_and_oracle_agree(self, capsys):
-        code = run_cli(
-            "dephasing", "--bath-m", "10", "--theta", "0.05", "--n", "3",
-            "--beta-true", str(math.log(3.0)),
-        )
-        assert code == 0
-        values = dict(
-            line.split("=") for line in capsys.readouterr().out.strip().splitlines()
-        )
+        beta = str(math.log(3.0))
+        assert run_cli("dephasing", "--bath-m", "10", "--theta", "0.05", "--n", "3", "--beta-true", beta) == 0
+        values = printed(capsys)
         assert set(values) == {"visibility_closed_form", "visibility_oracle"}
-        assert float(values["visibility_closed_form"]) == pytest.approx(
-            float(values["visibility_oracle"]), abs=1e-14
-        )
+        assert float(values["visibility_closed_form"]) == pytest.approx(float(values["visibility_oracle"]), abs=1e-14)
 
     def test_large_bath_skips_oracle(self, capsys):
-        code = run_cli(
-            "dephasing", "--bath-m", "100", "--theta", "0.01", "--n", "2", "--beta-true", "1.0"
-        )
-        assert code == 0
+        assert run_cli("dephasing", "--bath-m", "100", "--theta", "0.01", "--n", "2", "--beta-true", "1.0") == 0
         out = capsys.readouterr().out
         assert "visibility_closed_form" in out
         assert "visibility_oracle" not in out
@@ -241,31 +188,22 @@ class TestConfigFile:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("epsilon = 1.0\nbeta = 0.0\nn = 10\n")
         assert run_cli("stats", "--config", str(cfg)) == 0
-        values = dict(
-            line.split("=") for line in capsys.readouterr().out.strip().splitlines()
-        )
+        values = printed(capsys)
         assert float(values["mean_energy"]) == pytest.approx(5.0)
 
     def test_explicit_flags_override_file(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("epsilon = 1.0\nbeta = 0.0\nn = 10\n# comment line\n")
         assert run_cli("stats", "--config", str(cfg), "--n", "1") == 0
-        values = dict(
-            line.split("=") for line in capsys.readouterr().out.strip().splitlines()
-        )
+        values = printed(capsys)
         assert float(values["mean_energy"]) == pytest.approx(0.5)
 
     def test_sweep_from_config(self, tmp_path):
         out = tmp_path / "cfg.csv"
         cfg = tmp_path / "sweep.cfg"
-        cfg.write_text(
-            "protocol = thermalizing\n"
-            "n-values = 16,32,64,128\n"
-            "trials = 200\n"
-            "beta_true = 1.0\n"  # underscores are accepted too
-            f"out = {out}\n"
-            "seed = 12\n"
-        )
+        # underscores are accepted too
+        cfg.write_text(f"protocol = thermalizing\nn-values = 16,32,64,128\ntrials = 200\n"
+                       f"beta_true = 1.0\nout = {out}\nseed = 12\n")
         assert run_cli("sweep", "--config", str(cfg)) == 0
         assert out.exists()
 
@@ -297,9 +235,7 @@ class TestConfigFile:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("epsilon = 1.0\nbeta = 0.0\nn = 10\n")
         assert run_cli(*(token.format(cfg) for token in spelling)) == 0
-        values = dict(
-            line.split("=") for line in capsys.readouterr().out.strip().splitlines()
-        )
+        values = printed(capsys)
         assert float(values["mean_energy"]) == pytest.approx(5.0)
 
     @pytest.mark.parametrize("argv", [["--config"], ["--config", "--n", "3"]], ids=["trailing", "before-a-flag"])
@@ -351,98 +287,6 @@ class TestConfigFile:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "argument -h/--help: ignored explicit argument 'yes'" in captured.err
-
-
-@pytest.fixture
-def drawn_streams(monkeypatch):
-    """The streams that trials draw from, recorded as every draw path is entered."""
-    streams = []
-    generators, draw = RngStream.generators, RngStream._binomials
-
-    def spy(self, count):
-        streams.append(self)
-        return generators(self, count)
-
-    def draw_spy(count, draws):  # the draw a sweep takes all its fixed-bath points through
-        streams.extend(stream for stream, _, _ in draws)
-        return draw(count, draws)
-
-    monkeypatch.setattr(RngStream, "generators", spy)
-    monkeypatch.setattr(RngStream, "_binomials", staticmethod(draw_spy))
-    return streams
-
-
-class TestDegenerateSensitivity:
-    """A configuration whose mean energy does not respond to beta, or whose closed form leaves the floats,
-    is invalid input."""
-
-    def test_sweep_exits_2_before_any_trial(self, tmp_path, drawn_streams, capsys):
-        out = tmp_path / "x.csv"
-        code = run_cli(
-            "sweep", "--protocol", "noon", "--n-values", "2,4,8,16", "--trials", "20",
-            "--reps", "10", "--bath-m", "100", "--alpha", "0.001", "--tau", "1",
-            "--beta-true", "800", "--seed", "1", "--out", str(out),
-        )
-        assert code == 2
-        assert "invalid configuration" in capsys.readouterr().err
-        assert drawn_streams == []
-        assert not out.exists()
-
-    def test_thermalizing_sweep_exits_2_before_any_trial(self, tmp_path, drawn_streams, capsys):
-        out = tmp_path / "x.csv"
-        code = run_cli(
-            "sweep", "--protocol", "thermalizing", "--n-values", "16,32,64,128", "--trials", "20",
-            "--beta-true", "800", "--seed", "1", "--out", str(out),
-        )
-        assert code == 2
-        assert "eps_prime underflowed to zero" in capsys.readouterr().err
-        assert drawn_streams == []
-        assert not out.exists()
-
-    def test_fig1_exits_2(self, tmp_path, capsys):
-        out = tmp_path / "f.csv"
-        code = run_cli("fig1", "--epsilon", "1", "--beta-max", "800", "--points", "2", "--out", str(out))
-        assert code == 2
-        assert "invalid configuration" in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("argv, message", [
-        (("stats", "--epsilon", "1e200", "--beta", "1e-300", "--n", "3"), "energy_variance"),
-        (("stats", "--epsilon", "1e308", "--beta", "1e308", "--n", "3"), "energy_variance"),
-        (("sweep", "--protocol", "thermalizing", "--n-values", "16,32,64,128", "--trials", "20",
-          "--epsilon", "1e200", "--beta-true", "1e-300", "--seed", "1", "--out", "x.csv"), "energy_variance"),
-        (("sweep", "--protocol", "sn", "--n-values", "10,20,30,40", "--trials", "50", "--bath-m", "100",
-          "--alpha", "5e-324", "--tau", "1", "--beta-true", "1", "--seed", "1", "--out", "x.csv"), "sigma_m"),
-        (("dephasing", "--bath-m", "100", "--theta", "1e308", "--n", "3", "--beta-true", "1"), "n_atoms * theta"),
-        (("sweep", "--protocol", "noon", "--n-values", "2,4,8,16", "--trials", "20", "--reps", "10", "--bath-m", "100",
-          "--alpha", "1e-200", "--tau", "1e-200", "--beta-true", "1", "--seed", "1", "--out", "x.csv"), "alpha * tau"),
-    ], ids=["stats", "stats-nan", "thermalizing sweep", "sn sweep", "dephasing", "noon sweep"])
-    def test_overflow_exits_2_before_any_output_or_trial(self, argv, message, tmp_path, drawn_streams, capsys,
-                                                        monkeypatch):
-        # each returned inf, NaN or 0.0 (or a bare "math domain error"); both sweeps ran every trial first
-        monkeypatch.chdir(tmp_path)
-        assert run_cli(*argv) == 2
-        out, err = capsys.readouterr()
-        assert out == "" and err.startswith("invalid configuration") and message in err
-        assert drawn_streams == [] and list(tmp_path.iterdir()) == []
-
-
-class TestOversizedCounts:
-    """A count that numpy's binomial or float() cannot take exits 2 before any trial or output."""
-
-    @pytest.mark.parametrize("argv, message", [
-        (("stats", "--epsilon", "1", "--beta", "1", "--n", str(10**400)), "n_atoms must convert to a float"),
-        (("dephasing", "--bath-m", str(10**400), "--theta", "0.05", "--n", "3", "--beta-true", "1"),
-         "m_atoms must convert to a float"),
-        (("sweep", "--protocol", "thermalizing", "--n-values", f"16,32,64,{2**63}", "--trials", "20",
-          "--beta-true", "1", "--seed", "7", "--out", "x.csv"), "each of n_values must be below 2**63"),
-    ], ids=["stats", "dephasing", "thermalizing sweep"])
-    def test_exits_2_before_any_trial(self, argv, message, tmp_path, drawn_streams, capsys, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        assert run_cli(*argv) == 2
-        out, err = capsys.readouterr()
-        assert out == "" and message in err
-        assert drawn_streams == [] and list(tmp_path.iterdir()) == []
 
 
 def test_every_public_name_resolves():

@@ -27,7 +27,7 @@ from thermoscale.interferometry import (
 )
 from thermoscale.oracle import noon_probs_exact
 from thermoscale.rng import RngStream
-from thermoscale.sweep import SweepAbortError, SweepPlan, collect_sweep_records, matched_thermometer_size
+from thermoscale.sweep import SweepAbortError, SweepPlan, collect_sweep_records
 
 LN3 = math.log(3.0)
 
@@ -113,12 +113,6 @@ class TestPortProbabilities:
 
 
 class TestPhaseWindow:
-    def test_rejects_wide_coupling(self):
-        bath = make_bath(theta=math.pi / 100.0)  # theta * m_atoms = pi
-        with pytest.raises(ValueError, match="phase window violated") as info:
-            require_phase_window(bath, 1)
-        assert "pi - 0.001" in str(info.value)
-
     def test_noon_window_scales_with_atom_number(self):
         bath = make_bath(theta=math.pi / 250.0)  # fine for one atom, not for four
         require_phase_window(bath, 1)
@@ -138,94 +132,6 @@ class TestPhaseWindow:
                 quotient = limit / (n_atoms * m_atoms)
                 # an admissible quotient is returned unchanged
                 assert theta == quotient or n_atoms * quotient * m_atoms > limit
-
-    def test_protocols_validate_before_running(self):
-        bath = make_bath(theta=math.pi / 100.0)
-        with pytest.raises(ValueError, match="phase window violated"):
-            run_interferometer_trials(bath, 1, 10, 2, "fixed_m", RngStream(1))
-        with pytest.raises(ValueError, match="phase window violated"):
-            run_interferometer_trials(make_bath(theta=math.pi / 250.0), 4, 10, 2, "fixed_m", RngStream(1))
-
-
-class TestIntegerInputs:
-    def test_sampled_bath_refuses_fractional_shots(self):
-        # numpy would draw Binomial(2, p) and the fraction be divided by 2.5
-        with pytest.raises(ValueError, match="shots must be an integer"):
-            run_interferometer_trials(make_bath(), 1, 2.5, 10, "sampled_m", RngStream(1))
-
-    @pytest.mark.parametrize("mode", ["fixed_m", "sampled_m"])
-    def test_refuses_fractional_atom_number(self, mode):
-        with pytest.raises(ValueError, match="n_atoms must be an integer"):
-            run_interferometer_trials(make_bath(), 1.5, 10, 10, mode, RngStream(1))
-
-    def test_bath_atom_count_is_an_integer(self):
-        # a bool is an int subclass, but no atom count
-        for m_atoms in (True, 100.0):
-            with pytest.raises(ValueError, match="m_atoms must be an integer"):
-                make_bath(m_atoms=m_atoms)
-        assert type(make_bath(m_atoms=np.int64(100)).m_atoms) is int
-
-    CLOSED_FORM_CASES = [
-        # a fractional atom number would give a visibility above 1 (1.012 here)
-        (lambda bath: measure_fringe_visibility(bath, 1.5, 1000, 10, RngStream(1)), "must be an integer"),
-        (lambda bath: measure_fringe_visibility(bath, True, 1000, 10, RngStream(1)), "must be an integer"),
-        (lambda bath: measure_fringe_visibility(bath, 1, 1000.5, 10, RngStream(1)), "must be an integer"),
-        (lambda bath: measure_fringe_visibility(bath, 1, 1000, 10.5, RngStream(1)), "must be an integer"),
-        (lambda bath: dephasing_visibility(bath, 1.5), "must be an integer"),
-        (lambda bath: dephasing_visibility(bath, True), "must be an integer"),
-        (lambda bath: max_theta(100.5, 1), "must be an integer"),
-        (lambda bath: max_theta(100, 1.5), "must be an integer"),
-        (lambda bath: max_theta(True, 2), "must be an integer"),
-        (lambda bath: reference_phase(bath, 1.5), "must be an integer"),
-        (lambda bath: require_phase_window(bath, True), "must be an integer"),
-        (lambda bath: require_phase_window(bath, 2.0), "must be an integer"),
-        (lambda bath: sigma_beta_h_theory(bath, 2.5), "must be an integer"),
-        (lambda bath: sigma_m_sn_theory(0.1, 10.5), "must be an integer"),
-        (lambda bath: sigma_m_sn_theory(0.1, True), "must be an integer"),
-        # an atom number below 1 would give a visibility (0.964 and 0.989 here)
-        (lambda bath: measure_fringe_visibility(bath, 0, 1000, 10, RngStream(1)), "n_atoms must be at least 1"),
-        (lambda bath: measure_fringe_visibility(bath, -2, 1000, 10, RngStream(1)), "n_atoms must be at least 1"),
-        # an infinite real would be accepted, or give a spread of 0.0
-        (lambda bath: BathSpec(100, math.inf, 1.0, 0.01, 1.0), "epsilon must be a positive finite real"),
-        (lambda bath: BathSpec(100, 1.0, math.inf, 0.01, 1.0), "beta_true must be a nonnegative finite real"),
-        (lambda bath: BathSpec(100, 1.0, 1.0, math.inf, 1.0), "alpha must be a positive finite real"),
-        (lambda bath: BathSpec(100, 1.0, 1.0, 0.01, math.inf), "tau must be a positive finite real"),
-        (lambda bath: sigma_m_sn_theory(math.inf, 3), "theta must be a positive finite real"),
-        # a fractional bath size would raise TypeError, and True be returned as a size
-        (lambda bath: matched_thermometer_size(2.5, "heisenberg"), "m_atoms must be an integer"),
-        (lambda bath: matched_thermometer_size(True, "shot_noise"), "m_atoms must be an integer"),
-        # a fractional or bool atom number would give a probability (0.866 and 0.978 here)
-        (lambda bath: noon_outcome_probability(2.5, 0.3), "n_atoms must be an integer"),
-        (lambda bath: noon_outcome_probability(True, 0.3), "n_atoms must be an integer"),
-        # a NaN phase would give NaN, and an infinite one a bare "math domain error"
-        (lambda bath: noon_outcome_probability(2, math.nan), "finite phi_b"),
-        (lambda bath: noon_outcome_probability(2, math.inf), "finite phi_b"),
-        # a finite input whose closed form leaves the floats would give inf, NaN, 0.0 or an unnamed error
-        (lambda bath: sigma_m_sn_theory(5e-324, 1), "sigma_m must be a positive finite real, got inf"),
-        (lambda bath: sigma_beta_sn_theory(make_bath(theta=5e-324), 1), "sigma_m .* got inf"),
-        (lambda bath: sigma_beta_h_theory(make_bath(theta=5e-324), 1), "sigma_beta .* got inf"),
-        (lambda bath: sigma_beta_sn_theory(BathSpec(10**300, 1e10, 1e-310, 1e-310, 1.0), 1), "sigma_m .* got inf"),
-        # |d<m>/dbeta| overflows, so the spread would be 0.0
-        (lambda bath: sigma_beta_sn_theory(BathSpec(10**300, 1e10, 1e-310, 0.01, 1.0), 1), r"sigma_beta .* got 0\.0"),
-        (lambda bath: sigma_beta_h_theory(BathSpec(10**300, 1e10, 1e-310, 0.01, 1.0), 2), r"sigma_beta .* got 0\.0"),
-        (lambda bath: max_theta(10**200, 10**200), r"n_atoms \* m_atoms must convert to a float"),
-        (lambda bath: dephasing_visibility(make_bath(theta=1e308), 3), r"n_atoms \* theta must be a positive"),
-        # appended, so the earlier cases keep their ids: a finite alpha and tau whose product leaves the
-        # floats, which gave a ZeroDivisionError in the engine and sigma_beta_h_theory
-        (lambda bath: BathSpec(100, 1.0, 1.0, 1e-200, 1e-200), r"alpha \* tau must be a positive finite real, got 0\.0"),
-        (lambda bath: BathSpec(100, 1.0, 1.0, 1e200, 1e200), r"alpha \* tau must be a positive finite real, got inf"),
-    ]
-
-    @pytest.mark.parametrize(
-        "call, match",
-        CLOSED_FORM_CASES,
-        # ids that ignore the match column, so the integer cases keep their names
-        ids=[f"<lambda>{i}" for i in range(len(CLOSED_FORM_CASES))],
-    )
-    def test_closed_forms_refuse_non_integer_counts(self, call, match):
-        with pytest.raises(ValueError, match=match):
-            call(BathSpec(100, 1.0, 1.0, math.pi / 200, 1.0))
-
 
 class TestInversionChain:
     @staticmethod
@@ -372,11 +278,6 @@ class TestNoonProtocol:
         floor = 1.0 / (n_atoms * math.sqrt(reps))
         assert spread >= 0.95 * floor
         assert spread <= 1.25 * floor
-
-    def test_repetitions_floor(self):
-        plan = SweepPlan("noon", (1, 2, 3, 4), 10, 1, bath=make_bath(theta=max_theta(100, 4)), repetitions=1)
-        with pytest.raises(ValueError):
-            collect_sweep_records(plan)
 
     def test_phase_estimates_finite_for_all_invalid_batch(self):
         # frozen bath, raw counts: every beta is invalid, every phase is still a number
@@ -549,6 +450,13 @@ class TestOutcomeSampling:
         phases, _ = run_interferometer_trials(bath, 1, 5, 20, "sampled_m", stream)
         assert list(phases) == [phase for _, _, phase, _ in trials]
 
+    def test_sampled_bath_computes_each_port_probability_once(self, monkeypatch):
+        # the port probability depends on the drawn bath count alone, of which M = 100 has 101
+        calls, port = [], noon_outcome_probability
+        monkeypatch.setattr(interferometry, "noon_outcome_probability", lambda *args: calls.append(args) or port(*args))
+        run_interferometer_trials(make_bath(), 1, 100, 2000, "sampled_m", RngStream(63))
+        assert 1 < len(calls) <= 101
+
 
 class TestTheoryFormulas:
     def test_sigma_m_unit_case(self):
@@ -572,9 +480,7 @@ class TestTheoryFormulas:
 
     def test_sigma_beta_sn_shot_scaling(self):
         bath = make_bath()
-        assert sigma_beta_sn_theory(bath, 400) / sigma_beta_sn_theory(bath, 100) == pytest.approx(
-            0.5, rel=1e-14
-        )
+        assert sigma_beta_sn_theory(bath, 400) / sigma_beta_sn_theory(bath, 100) == pytest.approx(0.5, rel=1e-14)
 
     def test_sigma_beta_sn_vanishes_for_huge_bath(self):
         small = sigma_beta_sn_theory(make_bath(m_atoms=100), 10)
@@ -593,9 +499,7 @@ class TestTheoryFormulas:
 
     def test_heisenberg_one_over_n(self):
         bath = make_bath()
-        assert sigma_beta_h_theory(bath, 16) / sigma_beta_h_theory(bath, 4) == pytest.approx(
-            0.25, rel=1e-14
-        )
+        assert sigma_beta_h_theory(bath, 16) / sigma_beta_h_theory(bath, 4) == pytest.approx(0.25, rel=1e-14)
 
 
 class TestDephasingVisibility:

@@ -35,23 +35,6 @@ class TestFitPowerLaw:
         assert fit.stderr_slope == pytest.approx(0.0, abs=1e-12)
         assert fit.intercept == pytest.approx(math.log(3.7), abs=1e-10)
 
-    def test_refuses_fewer_than_four_points(self):
-        with pytest.raises(ValueError):
-            fit_power_law([(1, 1.0), (2, 0.5), (4, 0.25)])
-
-    def test_rejects_nonpositive_values(self):
-        with pytest.raises(ValueError):
-            fit_power_law([(1, 1.0), (2, 0.5), (4, 0.25), (8, -0.1)])
-        # a NaN or infinite spread would give an all-NaN fit, and a fractional size be truncated
-        for n, sigma, match in ((8, math.nan, "sigma"), (8, math.inf, "sigma"), (8.5, 0.1, "each n")):
-            with pytest.raises(ValueError, match=match):
-                fit_power_law([(1, 1.0), (2, 0.5), (4, 0.25), (n, sigma)])
-
-    def test_refuses_equal_sizes(self):
-        # no spread in log(n) leaves the slope undefined
-        with pytest.raises(ValueError, match="two distinct sizes"):
-            fit_power_law([(2, 1.0)] * 3 + [(2, 2.0)])
-
     def test_points_are_preserved(self):
         points = [(2, 1.0), (4, 0.5), (8, 0.25), (16, 0.125)]
         fit = fit_power_law(points)
@@ -59,63 +42,19 @@ class TestFitPowerLaw:
 
 
 class TestPlanValidation:
-    def test_unknown_protocol(self):
-        with pytest.raises(ValueError, match="unknown protocol 'cooling'"):
-            SweepPlan("cooling", (1, 2, 3, 4), 10, 0, beta_true=1.0).validate()
-
-    def test_too_few_points(self):
-        with pytest.raises(ValueError, match="need at least 4 sweep sizes for a fit, got 3"):
-            SweepPlan("thermalizing", (16, 32, 64), 10, 0, beta_true=1.0).validate()
-
-    def test_nonincreasing_points(self):
-        with pytest.raises(ValueError, match="n_values must be strictly increasing"):
-            SweepPlan("thermalizing", (16, 32, 32, 64), 10, 0, beta_true=1.0).validate()
-
-    def test_missing_beta(self):
-        with pytest.raises(ValueError, match="beta_true must be a nonnegative finite real, got None"):
-            SweepPlan("thermalizing", (16, 32, 64, 128), 10, 0).validate()
-
-    def test_missing_bath(self):
-        with pytest.raises(ValueError, match="sn sweep needs a bath specification"):
-            SweepPlan("sn", (16, 32, 64, 128), 10, 0).validate()
-
-    def test_unknown_estimator(self):
-        with pytest.raises(ValueError, match="estimator must be one of"):
-            SweepPlan("thermalizing", (16, 32, 64, 128), 20, 7, beta_true=1.0, estimator="bogus").validate()
+    """What validate() takes; what it refuses is in tests/test_refusals.py."""
 
     def test_sampled_bath_noon_plan_validates(self):
         bath = BathSpec(100, 1.0, 1.0, max_theta(100, 8), 1.0)
+        SweepPlan("noon", (2, 4, 8), 10, 0, bath=bath, repetitions=8)  # a plan is checked by validate alone
         SweepPlan("noon", (1, 2, 4, 8), 20, 7, bath=bath, bath_mode="sampled_m", repetitions=8).validate()
 
     def test_trials_fit_in_one_stream(self):
-        # trial t draws substream t of its point's stream, which has 2^32 of them;
-        # a sample spread needs at least two trials
+        # trial t draws substream t of its point's stream, which has 2^32 of them
         SweepPlan("thermalizing", (16, 32, 64, 128), 2**32, 0, beta_true=1.0).validate()
-        with pytest.raises(ValueError, match="trials_per_n must be at least 2, got 1"):
-            SweepPlan("thermalizing", (16, 32, 64, 128), 1, 0, beta_true=1.0).validate()
-        with pytest.raises(ValueError, match=r"trials_per_n must lie in \[2, 2\*\*32\], got 4294967297"):
-            SweepPlan("thermalizing", (16, 32, 64, 128), 2**32 + 1, 0, beta_true=1.0).validate()
-
-    def test_trials_must_be_an_integer(self):
-        with pytest.raises(ValueError, match="trials_per_n must be an integer, got 10.5"):
-            SweepPlan("thermalizing", (16, 32, 64, 128), 10.5, 0, beta_true=1.0).validate()
-
-    def test_sizes_must_be_integers(self):
-        bath = BathSpec(100, 1.0, 1.0, max_theta(100, 8), 1.0)
-        with pytest.raises(ValueError, match="each of n_values must be an integer, got 1.5"):
-            SweepPlan("noon", (1.5, 2, 4, 8), 10, 0, bath=bath, repetitions=8).validate()
-
-    def test_repetitions_must_be_an_integer(self):
-        bath = BathSpec(100, 1.0, 1.0, max_theta(100, 8), 1.0)
-        with pytest.raises(ValueError, match="repetitions must be an integer, got 2.5"):
-            SweepPlan("noon", (1, 2, 4, 8), 10, 0, bath=bath, repetitions=2.5).validate()
 
     def test_master_seed_must_be_a_64_bit_integer(self):
         SweepPlan("thermalizing", (16, 32, 64, 128), 10, 2**64 - 1, beta_true=1.0).validate()
-        for seed, kind in [(-1, "a 64-bit unsigned integer"), (2**64, "a 64-bit unsigned integer"),
-                           (1.5, "an integer"), (True, "an integer")]:
-            with pytest.raises(ValueError, match=f"master_seed must be {kind}, got {seed}"):
-                SweepPlan("thermalizing", (16, 32, 64, 128), 10, seed, beta_true=1.0).validate()
 
     def test_integer_like_values_are_accepted(self):
         # anything operator.index takes is an integer, numpy's integers included
@@ -124,18 +63,9 @@ class TestPlanValidation:
         sizes = tuple(np.int64(n) for n in (1, 2, 4, 8))
         seed = np.uint64(2**64 - 1)
         SweepPlan("noon", sizes, np.int64(10), seed, bath=bath, repetitions=np.int64(8)).validate()
+        assert type(BathSpec(np.int64(100), 1.0, 1.0, 0.01, 1.0).m_atoms) is int
 
-    @pytest.mark.parametrize(
-        "changes",
-        [{"beta_true": math.nan}, {"beta_true": math.inf}, {"epsilon": math.inf}],
-        ids=["beta_true=nan", "beta_true=inf", "epsilon=inf"],
-    )
-    def test_non_finite_reals_are_refused(self, changes):
-        plan = SweepPlan("thermalizing", (16, 32, 64, 128), 10, 0, **{"beta_true": 1.0, **changes})
-        with pytest.raises(ValueError, match="must be a .* finite real"):
-            plan.validate()
-
-    # every count that a trial hands numpy's binomial as n, which numpy takes as an int64
+    # every count that a trial hands numpy's binomial as n, which numpy takes as an int64 (2**63 is refused)
     DRAWN_COUNTS = {
         "thermalizing size": lambda c: SweepPlan("thermalizing", (16, 32, 64, c), 10, 0, beta_true=1.0),
         "sn size": lambda c: SweepPlan("sn", (16, 32, 64, c), 10, 0, bath=BathSpec(100, 1.0, 1.0, 0.01, 1.0)),
@@ -150,41 +80,9 @@ class TestPlanValidation:
     @pytest.mark.parametrize("what", DRAWN_COUNTS)
     def test_drawn_counts_stay_below_2_63(self, what):
         self.DRAWN_COUNTS[what](2**63 - 1).validate()
-        with pytest.raises(ValueError, match=r"must be below 2\*\*63, got 9223372036854775808"):
-            self.DRAWN_COUNTS[what](2**63).validate()
-
-    # validate computes every point's theory, so a plan whose closed form has no temperature response,
-    # or leaves the floats, is refused there and not one call later
-    @pytest.mark.parametrize(
-        "plan, match",
-        [
-            (SweepPlan("noon", (2, 4, 8, 16), 20, 1, bath=BathSpec(100, 1.0, 800.0, 0.001, 1.0), repetitions=10),
-             r"d<m>/dbeta of the bath underflowed"),
-            (SweepPlan("thermalizing", (16, 32, 64, 128), 20, 1, beta_true=800.0), "eps_prime underflowed"),
-            (SweepPlan("sn", (10, 20, 30, 40), 50, 1, bath=BathSpec(100, 1.0, 1.0, 5e-324, 1.0)), "sigma_m"),
-        ],
-        ids=["noon-no-response", "thermalizing-no-response", "sn-sigma-m-overflow"],
-    )
-    def test_theories_are_computed(self, plan, match):
-        with pytest.raises(ValueError, match=match):
-            plan.validate()
-
-    def test_phase_window_refused_at_largest_size(self):
-        bath = BathSpec(100, 1.0, 1.0, max_theta(100, 8), 1.0)
-        SweepPlan("noon", (2, 4, 8), 10, 0, bath=bath, repetitions=8)  # no validate yet
-        plan = SweepPlan("noon", (2, 4, 8, 16), 10, 0, bath=bath, repetitions=8)
-        with pytest.raises(ValueError, match="phase window violated"):
-            plan.validate()
 
 
-THERM_PLAN = SweepPlan(
-    protocol="thermalizing",
-    n_values=(16, 32, 64, 128),
-    trials_per_n=2000,
-    master_seed=1001,
-    epsilon=1.0,
-    beta_true=1.0,
-)
+THERM_PLAN = SweepPlan("thermalizing", (16, 32, 64, 128), 2000, 1001, epsilon=1.0, beta_true=1.0)
 
 
 class TestRunSweep:
@@ -200,14 +98,7 @@ class TestRunSweep:
 
     def test_sn_scaling_and_overlay(self):
         bath = BathSpec(100, 1.0, 1.0, max_theta(100), 1.0)
-        plan = SweepPlan(
-            protocol="sn",
-            n_values=(100, 400, 1600, 6400),
-            trials_per_n=500,
-            master_seed=99,
-            bath=bath,
-        )
-        records = collect_sweep_records(plan)
+        records = collect_sweep_records(SweepPlan("sn", (100, 400, 1600, 6400), 500, 99, bath=bath))
         fit = fit_from_records(records)
         assert -0.6 <= fit.slope <= -0.4
         for record in records:
@@ -216,29 +107,14 @@ class TestRunSweep:
     def test_noon_scaling_at_high_repetition(self):
         # every sweep point operates mid fringe, so the 1/N law is clean
         bath = BathSpec(100, 1.0, 1.0, max_theta(100, 16), 1.0)
-        plan = SweepPlan(
-            protocol="noon",
-            n_values=(2, 4, 8, 16),
-            trials_per_n=800,
-            master_seed=4242,
-            bath=bath,
-            repetitions=3000,
-        )
-        records = collect_sweep_records(plan)
+        records = collect_sweep_records(SweepPlan("noon", (2, 4, 8, 16), 800, 4242, bath=bath, repetitions=3000))
         fit = fit_from_records(records)
         assert -1.08 <= fit.slope <= -0.92
         for record in records:
             assert 0.85 <= record.sigma_beta_empirical / record.sigma_beta_theory <= 1.15
 
     def test_abort_names_offending_size(self):
-        plan = SweepPlan(
-            protocol="thermalizing",
-            n_values=(1, 2, 3, 4),
-            trials_per_n=30,
-            master_seed=7,
-            beta_true=0.0,
-            estimator="raw",
-        )
+        plan = SweepPlan("thermalizing", (1, 2, 3, 4), 30, 7, beta_true=0.0, estimator="raw")
         with pytest.raises(SweepAbortError) as info:
             collect_sweep_records(plan)
         assert info.value.n == 1
@@ -268,9 +144,7 @@ class TestBathFloor:
 
     def test_equals_thermalizing_bound_at_matched_size(self):
         for m in (3, 10, 100):
-            assert bath_intrinsic_sigma(m, 1.0, 1.3) == shot_noise_sigma_beta(
-                TwoLevelSpec(m, 1.0), 1.3
-            )
+            assert bath_intrinsic_sigma(m, 1.0, 1.3) == shot_noise_sigma_beta(TwoLevelSpec(m, 1.0), 1.3)
 
 
 class TestMatchedThermometerSize:
@@ -286,10 +160,6 @@ class TestMatchedThermometerSize:
 
     def test_rounds_up(self):
         assert matched_thermometer_size(101, "heisenberg") == 11
-
-    def test_regime_validation(self):
-        with pytest.raises(ValueError):
-            matched_thermometer_size(10, "quantum")
 
     @pytest.mark.parametrize("m_atoms", [2, 10, 16, 100, 177])
     def test_consistency_with_precision_formulas(self, m_atoms):
@@ -326,11 +196,6 @@ class TestFig1Curves:
         rows = fig1_curves(1.0, grid)
         scaled = [row[2] for row in rows]
         assert scaled.index(min(scaled)) == 0
-
-    def test_empty_grid_rejected(self):
-        with pytest.raises(ValueError):
-            fig1_curves(1.0, [])
-
 
 # Small plans of each kind whose result bytes are pinned: a refactor of the
 # engines or of the emitters must leave every byte of every file unchanged.

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from thermoscale.oracle import enumerate_thermal
-from thermoscale.sweep import bath_intrinsic_sigma, fig1_curves
+from thermoscale.sweep import fig1_curves
 from thermoscale.thermal import (
     TwoLevelSpec,
     cr_bound_sigma,
@@ -34,13 +34,6 @@ class TestExcitationProbability:
         for eps in EPSILONS:
             probs = [excitation_probability(eps, x / eps) for x in X_GRID]
             assert all(a > b for a, b in zip(probs, probs[1:]))
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            excitation_probability(0.0, 1.0)
-        with pytest.raises(ValueError):
-            excitation_probability(1.0, -0.1)
-
 
 class TestThermalSummary:
     def test_single_atom_symmetry_point(self):
@@ -107,37 +100,6 @@ class TestThermalSummary:
             means = [thermal_summary(TwoLevelSpec(1, eps), x / eps).eps_bar for x in X_GRID]
             assert all(a > b for a, b in zip(means, means[1:]))
 
-    def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            TwoLevelSpec(0, 1.0)
-        with pytest.raises(ValueError):
-            TwoLevelSpec(3, -1.0)
-        with pytest.raises(ValueError):
-            thermal_summary(TwoLevelSpec(1, 1.0), -0.5)
-        # each of these would return a number (nan, inf, 0.0 or a bound) or raise ZeroDivisionError
-        for call, match in (
-            (lambda: cr_bound_sigma(4.0, 2.5), "repetitions must be an integer"),
-            (lambda: cr_bound_sigma(4.0, True), "repetitions must be an integer"),
-            (lambda: cr_bound_sigma(math.nan), "fisher_info must be a nonnegative finite real"),
-            (lambda: cr_bound_sigma(math.inf), "fisher_info must be a nonnegative finite real"),
-            (lambda: doppler_precision(math.inf, 1.0), "atom_rate must be a positive finite real"),
-            (lambda: doppler_precision(1.0, math.inf), "integration_time must be a positive finite real"),
-            (lambda: excitation_probability(math.inf, 0.0), "epsilon must be a positive finite real"),
-            (lambda: invert_mean_fraction(0.3, math.inf), "epsilon must be a positive finite real"),
-            # a finite input whose closed form leaves the floats: eps_prime = epsilon**2 * p * (1 - p)
-            # overflows, or is inf * 0 once beta * epsilon is infinite, and the products below over- or underflow
-            (lambda: thermal_summary(TwoLevelSpec(3, 1e200), 1e-300), "energy_variance .* got inf"),
-            (lambda: thermal_summary(TwoLevelSpec(3, 1e308), 1e308), "energy_variance .* got nan"),
-            (lambda: thermal_summary(TwoLevelSpec(10**300, 1e10), 0.0), "mean_energy .* got inf"),
-            (lambda: shot_noise_sigma_beta(TwoLevelSpec(3, 1e200), 1e-300), "energy_variance .* got inf"),
-            (lambda: bath_intrinsic_sigma(3, 1e200, 1e-300), "energy_variance .* got inf"),
-            (lambda: cr_bound_sigma(1e308, 10), r"repetitions \* fisher_info must be a positive finite real"),
-            (lambda: doppler_precision(1e-200, 1e-200), r"atom_rate \* integration_time .* got 0\.0"),
-            (lambda: doppler_precision(1e200, 1e200), r"atom_rate \* integration_time .* got inf"),
-        ):
-            with pytest.raises(ValueError, match=match):
-                call()
-
     def test_large_finite_splitting_still_evaluates(self):
         # epsilon**2 = 1e300 still fits, and the scaled spread keeps its closed form 2 at x = 0
         assert thermal_summary(TwoLevelSpec(3, 1e150), 1e-300).eps_prime == pytest.approx(0.25e300, rel=1e-15)
@@ -145,12 +107,6 @@ class TestThermalSummary:
         # fig1's rows depend on x alone, so a splitting whose epsilon**2 overflows gives them too
         assert fig1_curves(1e200, [0.0]) == [(0.0, 0.5, 2.0)]
         assert doppler_precision(1e150, 1e150) == pytest.approx(1e-150, rel=1e-15)
-
-    def test_spec_atom_count_is_an_integer(self):
-        # a bool is an int subclass, but no atom count
-        for n_atoms in (True, 2.0, 1.5):
-            with pytest.raises(ValueError, match="n_atoms must be an integer"):
-                TwoLevelSpec(n_atoms, 1.0)
 
 
 class TestShotNoiseSigmaBeta:
@@ -163,9 +119,7 @@ class TestShotNoiseSigmaBeta:
     def test_hand_value(self):
         # exp(beta * eps) = 3: p * (1 - p) = 3/16
         expected = 1.0 / math.sqrt(3.0 / 16.0)
-        assert shot_noise_sigma_beta(TwoLevelSpec(1, 1.0), math.log(3.0)) == pytest.approx(
-            expected, rel=1e-14
-        )
+        assert shot_noise_sigma_beta(TwoLevelSpec(1, 1.0), math.log(3.0)) == pytest.approx(expected, rel=1e-14)
 
     def test_equals_cr_bound_of_fisher_info(self):
         for eps in EPSILONS:
@@ -173,17 +127,13 @@ class TestShotNoiseSigmaBeta:
                 spec = TwoLevelSpec(7, eps)
                 beta = x / eps
                 fisher = thermal_summary(spec, beta).fisher_info
-                assert shot_noise_sigma_beta(spec, beta) == pytest.approx(
-                    cr_bound_sigma(fisher, 1), rel=1e-14
-                )
+                assert shot_noise_sigma_beta(spec, beta) == pytest.approx(cr_bound_sigma(fisher, 1), rel=1e-14)
 
     def test_scaled_spread_minimized_at_symmetry_point(self):
         # sqrt(N) * sigma_beta as a function of x: minimum 2/eps at x = 0, then increasing
         for eps in EPSILONS:
             spec = TwoLevelSpec(1, eps)
-            assert math.sqrt(1) * shot_noise_sigma_beta(spec, 0.0) == pytest.approx(
-                2.0 / eps, rel=1e-14
-            )
+            assert math.sqrt(1) * shot_noise_sigma_beta(spec, 0.0) == pytest.approx(2.0 / eps, rel=1e-14)
             grid = [i * 10.0 / 200 for i in range(201)]
             values = [shot_noise_sigma_beta(spec, x / eps) for x in grid]
             assert all(b > a for a, b in zip(values, values[1:]))
@@ -204,14 +154,6 @@ class TestInvertMeanFraction:
 
     def test_hand_value(self):
         assert invert_mean_fraction(0.25, 1.0) == pytest.approx(math.log(3.0), rel=1e-15)
-
-    def test_boundary_fractions_rejected(self):
-        with pytest.raises(ValueError, match=r"on or outside \(0, 1\)"):
-            invert_mean_fraction(0.0, 1.0)
-        with pytest.raises(ValueError, match=r"on or outside \(0, 1\)"):
-            invert_mean_fraction(1.0, 1.0)
-        with pytest.raises(ValueError, match=r"on or outside \(0, 1\)"):
-            invert_mean_fraction(float("nan"), 1.0)
 
     def test_round_trip(self):
         for eps in EPSILONS:
@@ -236,11 +178,6 @@ class TestCrBoundSigma:
         expected = 1.0 / math.sqrt(50.0 * math.e / (1.0 + math.e) ** 2)
         assert cr_bound_sigma(fisher, 1) == pytest.approx(expected, rel=1e-14)
 
-    def test_degenerate_fisher(self):
-        with pytest.raises(ValueError, match="fisher_info is zero"):
-            cr_bound_sigma(0.0, 10)
-
-
 class TestDopplerPrecision:
     def test_beam_flux_value(self):
         assert doppler_precision(1e15, 1.0) == pytest.approx(10.0**-7.5, rel=1e-12)
@@ -250,10 +187,3 @@ class TestDopplerPrecision:
 
     def test_square_root_law(self):
         assert doppler_precision(4.0, 1.0) == 0.5
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            doppler_precision(0.0, 1.0)
-        with pytest.raises(ValueError):
-            doppler_precision(1.0, 0.0)
-
