@@ -1,6 +1,7 @@
 import importlib
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -11,7 +12,9 @@ import pytest
 import thermoscale
 from thermoscale import cli
 from thermoscale.cli import main
+from thermoscale.rng import RngStream
 from thermoscale.sweep import CSV_HEADER
+from test_refusals import CLI_ARGV, ROWS
 
 
 def run_cli(*argv):
@@ -287,6 +290,57 @@ class TestConfigFile:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "argument -h/--help: ignored explicit argument 'yes'" in captured.err
+
+
+@pytest.fixture
+def exits_2(tmp_path, capsys, monkeypatch):
+    """Runs the command line of a refusal-table row where it would write its --out file, and checks that it
+    exits 2 with the row's message before it draws a stream, prints a line or writes a file."""
+    streams, generators, draw = [], RngStream.generators, RngStream._binomials
+    # every draw path, the draw that a sweep takes all its fixed-bath points through included
+    monkeypatch.setattr(RngStream, "generators", lambda self, count: streams.append(self) or generators(self, count))
+    monkeypatch.setattr(RngStream, "_binomials", staticmethod(
+        lambda count, draws: streams.extend(stream for stream, _, _ in draws) or draw(count, draws)))
+    monkeypatch.chdir(tmp_path)
+
+    def check(row):
+        assert main(CLI_ARGV[row].split()) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("invalid configuration") and re.search(ROWS[row][1], err)
+        assert streams == [] and list(tmp_path.iterdir()) == []
+    return check
+
+
+class TestDegenerateSensitivity:
+    """A configuration whose mean energy does not respond to beta, or whose closed form leaves the floats,
+    is invalid input."""
+
+    def test_sweep_exits_2_before_any_trial(self, exits_2):
+        exits_2("plan-noon-no-response")
+
+    def test_thermalizing_sweep_exits_2_before_any_trial(self, exits_2):
+        exits_2("plan-thermalizing-no-response")
+
+    def test_fig1_exits_2(self, exits_2):
+        exits_2("fig1-no-response")
+
+    @pytest.mark.parametrize("row", [
+        "summary-variance-overflow", "summary-variance-nan", "plan-thermalizing-variance-overflow",
+        "plan-sn-sigma-m-overflow", "dephasing-phase-overflow", "bath-coupling-underflow",
+    ], ids=["stats", "stats-nan", "thermalizing sweep", "sn sweep", "dephasing", "noon sweep"])
+    def test_overflow_exits_2_before_any_output_or_trial(self, row, exits_2):
+        # each returned inf, NaN or 0.0 (or a bare "math domain error"); both sweeps ran every trial first
+        exits_2(row)
+
+
+class TestOversizedCounts:
+    """A count that numpy's binomial or float() cannot take exits 2 before any trial or output."""
+
+    @pytest.mark.parametrize("row", [
+        "spec-atoms-beyond-float", "bath-atoms-beyond-float", "plan-thermalizing-size-beyond-int64",
+    ], ids=["stats", "dephasing", "thermalizing sweep"])
+    def test_exits_2_before_any_trial(self, row, exits_2):
+        exits_2(row)
 
 
 def test_every_public_name_resolves():

@@ -6,6 +6,7 @@ import pytest
 from thermoscale.estimators import estimate_beta_from_count, run_thermalizing_trials
 from thermoscale.rng import RngStream
 from thermoscale.thermal import TwoLevelSpec, shot_noise_sigma_beta, thermal_summary
+from test_refusals import ROWS, refusal_cases, refusal_test
 
 # frozen guard for the deterministic 1/N part of the jeffreys estimator bias,
 # calibrated once at 2e4 trials over (n, beta) in {16..1600} x {0.5..3}
@@ -30,6 +31,15 @@ class TestEstimateBetaFromCount:
         for k in (0, 1, 50, 99, 100):
             value = estimate_beta_from_count(k, 100, 1.0, "jeffreys")
             assert math.isfinite(value)
+
+    # a fractional count used to be read as a fraction of 2.5 / 10
+    test_count_must_be_integer = refusal_test("count-fractional", "count-fractional-atoms")
+    test_count_validation = refusal_test("count-above-atoms", "count-negative")
+    # modes are the lower-case strings exactly; nothing may fall back to a default, in any entry point that takes
+    # a mode, and validate runs no trial, so a plan is refused before its first point
+    test_unknown_mode_raises = refusal_cases(
+        {mode: [row for row in ROWS if row.endswith((f"-{mode}", "-FIXED_M"))] for mode in ("bogus", "JEFFREYS")})
+
 
 class TestRunThermalizingTrials:
     def test_spread_matches_shot_noise_prediction(self):

@@ -28,6 +28,7 @@ from thermoscale.interferometry import (
 from thermoscale.oracle import noon_probs_exact
 from thermoscale.rng import RngStream
 from thermoscale.sweep import SweepAbortError, SweepPlan, collect_sweep_records
+from test_refusals import refusal_cases, refusal_test
 
 LN3 = math.log(3.0)
 
@@ -113,6 +114,9 @@ class TestPortProbabilities:
 
 
 class TestPhaseWindow:
+    test_rejects_wide_coupling = refusal_test("window-wide-coupling")  # theta * m_atoms = pi
+    test_protocols_validate_before_running = refusal_test("engine-wide-coupling", "engine-noon-wide-coupling")
+
     def test_noon_window_scales_with_atom_number(self):
         bath = make_bath(theta=math.pi / 250.0)  # fine for one atom, not for four
         require_phase_window(bath, 1)
@@ -132,6 +136,14 @@ class TestPhaseWindow:
                 quotient = limit / (n_atoms * m_atoms)
                 # an admissible quotient is returned unchanged
                 assert theta == quotient or n_atoms * quotient * m_atoms > limit
+
+class TestIntegerInputs:
+    # numpy would draw Binomial(2, p) for 2.5 shots, and the fraction be divided by 2.5
+    test_sampled_bath_refuses_fractional_shots = refusal_test("engine-fractional-shots")
+    test_refuses_fractional_atom_number = refusal_cases(
+        {"fixed_m": "engine-fractional-atoms-fixed", "sampled_m": "engine-fractional-atoms-sampled"})
+    test_bath_atom_count_is_an_integer = refusal_test("bath-bool-atoms", "bath-float-atoms")
+
 
 class TestInversionChain:
     @staticmethod
@@ -278,6 +290,8 @@ class TestNoonProtocol:
         floor = 1.0 / (n_atoms * math.sqrt(reps))
         assert spread >= 0.95 * floor
         assert spread <= 1.25 * floor
+
+    test_repetitions_floor = refusal_test("sweep-one-repetition")
 
     def test_phase_estimates_finite_for_all_invalid_batch(self):
         # frozen bath, raw counts: every beta is invalid, every phase is still a number

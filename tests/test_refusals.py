@@ -3,19 +3,18 @@
 A row is ``(id, call, fragment)``: ``call()`` raises a ValueError whose message matches the regular
 expression ``fragment``. ``CLI_ARGV`` maps a row's id to a command line that reaches the same check;
 that command exits 2 with the same message before it draws a stream, prints a line or writes a file.
-Rows are named, not numbered, so a row added anywhere renames no other. The module imports no numpy:
-a row whose id starts with one of ``NUMPY_FIRST`` calls code that imports numpy before it checks, and is
-skipped where numpy is missing.
+Rows are named, not numbered, so a row added anywhere renames no other. The rows in ``KEPT`` are checked
+by tests in other files, which read them through ``refuses``, ``refusal_test`` and ``refusal_cases`` and keep
+the names they had before this table; ``test_library_refuses`` checks every other row. The module imports no
+numpy, and the rows whose call imports numpy before it checks are skipped where numpy is missing.
 """
 
 import importlib.util
 import math
-import re
 from functools import partial
 
 import pytest
 
-from thermoscale.cli import main
 from thermoscale.estimators import estimate_beta_from_count, run_thermalizing_trials
 from thermoscale.interferometry import (
     BathSpec, dephasing_visibility, max_theta, measure_fringe_visibility, noon_outcome_probability, reference_phase,
@@ -249,7 +248,7 @@ REFUSALS = [
     ("plan-thermalizing-size-beyond-int64", lambda: plan(n_values=(16, 32, 64, 2**63)), r"each of n_values " + INT64),
     ("plan-sn-size-beyond-int64", lambda: plan("sn", (16, 32, 64, 2**63), bath=SN_BATH), INT64),
     ("plan-noon-repetitions-beyond-int64", lambda: plan("noon", (1, 2, 4, 8), repetitions=2**63), INT64),
-    ("plan-sampled-bath-beyond-int64",
+    ("plan-sampled-bath-size-beyond-int64",
      lambda: plan("sn", bath=HUGE_BATH, bath_mode="sampled_m"), INT64),
     # validate computes every point's theory, so a closed form with no temperature response, or one that
     # leaves the floats, is refused there and not one call later
@@ -282,22 +281,87 @@ REFUSALS += [(f"{where}-estimator-{mode}", partial(take, mode), "estimator must 
 REFUSALS += [(f"{where}-bath-mode-{mode}", partial(take, mode), "mode must be one of")
              for where, take in BATH_MODE_TAKERS.items() for mode in ("bogus", "JEFFREYS", "FIXED_M")]
 
-# the rows of measure_fringe_visibility, fit_power_law and run_thermalizing_trials, which import numpy first
-NUMPY_FIRST = ("fringe-", "fit-", "thermalizing-engine-")
+# rows that a test in another file checks under the name it had before this table; the rest are checked here
+KEPT = {
+    # tests/test_interferometry.py
+    "engine-fractional-shots", "engine-fractional-atoms-fixed", "engine-fractional-atoms-sampled", "bath-bool-atoms",
+    "bath-float-atoms", "sweep-one-repetition", "window-wide-coupling", "engine-wide-coupling",
+    "engine-noon-wide-coupling",
+    # tests/test_estimators.py
+    "count-fractional", "count-fractional-atoms", "count-above-atoms", "count-negative",
+    *(f"{where}-estimator-{mode}" for where in ESTIMATOR_TAKERS for mode in ("bogus", "JEFFREYS")),
+    *(f"{where}-bath-mode-{mode}" for where in BATH_MODE_TAKERS for mode in ("bogus", "JEFFREYS", "FIXED_M")),
+    # tests/test_rng.py
+    "stream-negative-seed", "stream-seed-beyond-64-bits", "stream-index-beyond-128-bits", "substream-beyond-32-bits",
+    "substream-negative", "stream-fractional-seed", "stream-bool-seed", "stream-string-seed", "stream-fractional-index",
+    "stream-bool-index", "stream-string-index", "substream-fractional", "substream-bool", "substream-string",
+    "generators-negative-count", "generators-beyond-128-bits", "generators-one-past-128-bits",
+    "generators-into-the-next-stream", "generators-fractional-count", "binomials-negative-count",
+    "binomials-count-beyond-stream", "binomials-fractional-count", "binomials-bool-count",
+    "thermalizing-engine-size-beyond-int64", "engine-sampled-bath-beyond-int64", "fringe-bath-beyond-int64",
+    "engine-shots-beyond-int64",
+    # tests/test_sweep.py
+    "fit-three-points", "fit-negative-spread", "fit-nan-spread", "fit-infinite-spread", "fit-fractional-size",
+    "fit-one-size", "matched-unknown-regime", "fig1-empty-grid", "plan-unknown-protocol", "plan-three-sizes",
+    "plan-repeated-size", "plan-missing-beta", "plan-missing-bath", "plan-unknown-estimator", "plan-one-trial",
+    "plan-trials-beyond-stream", "plan-fractional-trials", "plan-fractional-size", "plan-fractional-repetitions",
+    "plan-negative-seed", "plan-seed-beyond-64-bits", "plan-fractional-seed", "plan-bool-seed", "plan-nan-beta",
+    "plan-infinite-beta", "plan-infinite-epsilon", "plan-thermalizing-size-beyond-int64", "plan-sn-size-beyond-int64",
+    "plan-noon-repetitions-beyond-int64", "plan-sampled-bath-size-beyond-int64", "plan-noon-no-response",
+    "plan-thermalizing-no-response", "plan-sn-sigma-m-overflow", "plan-phase-window-at-largest-size",
+    # tests/test_thermal.py
+    "excitation-zero-epsilon", "excitation-negative-beta", "spec-zero-atoms", "spec-negative-epsilon",
+    "summary-negative-beta", "cr-bound-fractional-repetitions", "cr-bound-bool-repetitions", "cr-bound-nan-fisher",
+    "cr-bound-infinite-fisher", "doppler-infinite-rate", "doppler-infinite-time", "excitation-infinite-epsilon",
+    "invert-infinite-epsilon", "summary-variance-overflow", "summary-variance-nan", "summary-mean-overflow",
+    "shot-noise-variance-overflow", "bath-floor-variance-overflow", "cr-bound-product-overflow",
+    "doppler-product-underflow", "doppler-product-overflow", "spec-bool-atoms", "spec-float-atoms",
+    "spec-fractional-atoms", "invert-zero-fraction", "invert-unit-fraction", "invert-nan-fraction",
+    "cr-bound-zero-fisher", "doppler-zero-rate", "doppler-zero-time",
+}
+ROWS = {name: (call, fragment) for name, call, fragment in REFUSALS}
+
+
+def refuses(*names):
+    """Checks that the call of each named row raises ValueError with the row's message fragment."""
+    for name in names:
+        call, fragment = ROWS[name]
+        with pytest.raises(ValueError, match=fragment):
+            call()
+
+
+# The tests below are bound as methods in a test class or collected as functions of a test module; the
+# positional-only parameter takes the test class instance, so pytest does not read it as a fixture.
+def refusal_test(*names):
+    """A test that checks the named rows."""
+    def test(_=None, /):
+        refuses(*names)
+    return test
+
+
+def refusal_cases(cases):
+    """A test with one case per key of ``cases``, which checks the row, or the rows, that its value names."""
+    @pytest.mark.parametrize("rows", [(rows,) if isinstance(rows, str) else rows for rows in cases.values()],
+                             ids=list(cases))
+    def test(_=None, /, *, rows):
+        refuses(*rows)
+    return test
+
+
+# the rows of measure_fringe_visibility, which imports numpy first
 NO_NUMPY = pytest.mark.skipif(importlib.util.find_spec("numpy") is None, reason="the call imports numpy first")
-FRAGMENTS = {name: fragment for name, _, fragment in REFUSALS}
 
 
 @pytest.mark.parametrize("call, fragment", [
-    pytest.param(call, fragment, id=name, marks=[NO_NUMPY] if name.startswith(NUMPY_FIRST) else [])
-    for name, call, fragment in REFUSALS
+    pytest.param(call, fragment, id=name, marks=[NO_NUMPY] if name.startswith("fringe-") else [])
+    for name, call, fragment in REFUSALS if name not in KEPT
 ])
 def test_library_refuses(call, fragment):
     with pytest.raises(ValueError, match=fragment):
         call()
 
 
-# the command line of each row that one reaches, run where it would write its --out file
+# the command line of each row that one reaches, run where it would write its --out file; tests/test_cli.py runs them
 CLI_ARGV = {
     "summary-variance-overflow": "stats --epsilon 1e200 --beta 1e-300 --n 3",
     "summary-variance-nan": "stats --epsilon 1e308 --beta 1e308 --n 3",
@@ -320,29 +384,8 @@ CLI_ARGV = {
 }
 
 
-@pytest.fixture
-def drawn_streams(monkeypatch):
-    """The streams that trials draw from, recorded as every draw path is entered: ``generators``, and the
-    draw that a sweep takes all its fixed-bath points through."""
-    streams, generators, draw = [], RngStream.generators, RngStream._binomials
-    monkeypatch.setattr(RngStream, "generators", lambda self, count: streams.append(self) or generators(self, count))
-    monkeypatch.setattr(RngStream, "_binomials", staticmethod(
-        lambda count, draws: streams.extend(stream for stream, _, _ in draws) or draw(count, draws)))
-    return streams
-
-
-@pytest.mark.parametrize("name", CLI_ARGV)
-def test_cli_exits_2_before_any_output_or_trial(name, tmp_path, drawn_streams, capsys, monkeypatch):
-    # unchecked, each would print inf, NaN or 0.0 or end in a traceback, and a sweep would run every trial first
-    monkeypatch.chdir(tmp_path)
-    assert main(CLI_ARGV[name].split()) == 2
-    out, err = capsys.readouterr()
-    assert out == "" and err.startswith("invalid configuration") and re.search(FRAGMENTS[name], err)
-    assert drawn_streams == [] and list(tmp_path.iterdir()) == []
-
-
 def test_ids_are_names(request):
     # a positional id (pytest's "<lambda>3") changes when a row is inserted above it
     assert [item.nodeid for item in request.session.items if "<lambda>" in item.nodeid] == []
     names = [name for name, _, _ in REFUSALS]
-    assert len(set(names)) == len(names) and set(CLI_ARGV) <= set(names)
+    assert len(set(names)) == len(names) and set(CLI_ARGV) | KEPT <= set(names)

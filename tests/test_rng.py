@@ -5,6 +5,7 @@ from thermoscale import _binomial
 from thermoscale.interferometry import BathSpec, max_theta
 from thermoscale.rng import RngStream
 from thermoscale.sweep import SweepPlan, collect_sweep_records
+from test_refusals import refusal_cases, refusal_test
 
 
 def test_same_stream_reproduces_bits():
@@ -89,11 +90,26 @@ def test_streams_pass_basic_independence_smoke():
     assert 0.3 / np.sqrt(12 * 64) < values.std() < 1.3 / np.sqrt(12 * 64) * np.sqrt(3)
 
 
+# integers only: a float, a bool or a string is not a seed, an index or a substream
+test_validation = refusal_test(
+    "stream-negative-seed", "stream-seed-beyond-64-bits", "stream-index-beyond-128-bits", "substream-beyond-32-bits",
+    "substream-negative", "stream-fractional-seed", "stream-bool-seed", "stream-string-seed", "stream-fractional-index",
+    "stream-bool-index", "stream-string-index", "substream-fractional", "substream-bool", "substream-string")
+
+
 def test_integer_like_seeds_are_stored_as_ints():
     stream = RngStream(np.uint64(2**64 - 1), np.int64(3))
     assert stream == RngStream(2**64 - 1, 3)
     assert type(stream.master_seed) is int and type(stream.stream_index) is int
     assert stream.substream(np.uint32(7)) == RngStream(2**64 - 1, 3 * 2**32 + 7)
+
+
+# a negative count, ranges running past the last 128-bit index, a count whose position 2^32 would be
+# substream 0 of the next stream, and a float, refused by the call itself and not at the first next()
+test_generators_validate_at_the_call = refusal_cases({
+    "negative count": "generators-negative-count", "beyond 2^128": "generators-beyond-128-bits",
+    "one past 2^128": "generators-one-past-128-bits", "into the next stream": "generators-into-the-next-stream",
+    "non-integer count": "generators-fractional-count"})
 
 
 BINOMIAL_CASES = {
@@ -188,6 +204,15 @@ def test_binomials_refuse_what_numpy_refuses(n, p):
     if isinstance(n, int):
         with pytest.raises(ValueError):
             RngStream(3).generator().binomial(n, p)
+
+
+# numpy's binomial takes its n as an int64, and would raise OverflowError at the first draw
+test_engines_refuse_what_numpy_cannot_draw = refusal_cases({
+    "thermalizing-size": "thermalizing-engine-size-beyond-int64", "fringe-bath-size": "fringe-bath-beyond-int64",
+    "sampled-bath-size": "engine-sampled-bath-beyond-int64", "sampled-bath-shots": "engine-shots-beyond-int64"})
+test_binomials_validate_the_count = refusal_cases({
+    "-1": "binomials-negative-count", "4294967297": "binomials-count-beyond-stream",
+    "2.5": "binomials-fractional-count", "True": "binomials-bool-count"})
 
 
 # the groups of one multi-stream draw: p on both sides of 1/2, an inversion-regime

@@ -23,6 +23,7 @@ from thermoscale.sweep import (
     write_results,
 )
 from thermoscale.thermal import TwoLevelSpec, excitation_probability, shot_noise_sigma_beta
+from test_refusals import refusal_cases, refusal_test, refuses
 
 
 class TestFitPowerLaw:
@@ -35,6 +36,12 @@ class TestFitPowerLaw:
         assert fit.stderr_slope == pytest.approx(0.0, abs=1e-12)
         assert fit.intercept == pytest.approx(math.log(3.7), abs=1e-10)
 
+    test_refuses_fewer_than_four_points = refusal_test("fit-three-points")
+    # a NaN or infinite spread would give an all-NaN fit, and a fractional size be truncated
+    test_rejects_nonpositive_values = refusal_test(
+        "fit-negative-spread", "fit-nan-spread", "fit-infinite-spread", "fit-fractional-size")
+    test_refuses_equal_sizes = refusal_test("fit-one-size")  # no spread in log(n) leaves the slope undefined
+
     def test_points_are_preserved(self):
         points = [(2, 1.0), (4, 0.5), (8, 0.25), (16, 0.125)]
         fit = fit_power_law(points)
@@ -42,7 +49,23 @@ class TestFitPowerLaw:
 
 
 class TestPlanValidation:
-    """What validate() takes; what it refuses is in tests/test_refusals.py."""
+    test_unknown_protocol = refusal_test("plan-unknown-protocol")
+    test_too_few_points = refusal_test("plan-three-sizes")
+    test_nonincreasing_points = refusal_test("plan-repeated-size")
+    test_missing_beta = refusal_test("plan-missing-beta")
+    test_missing_bath = refusal_test("plan-missing-bath")
+    test_unknown_estimator = refusal_test("plan-unknown-estimator")
+    test_trials_must_be_an_integer = refusal_test("plan-fractional-trials")
+    test_sizes_must_be_integers = refusal_test("plan-fractional-size")
+    test_repetitions_must_be_an_integer = refusal_test("plan-fractional-repetitions")
+    test_non_finite_reals_are_refused = refusal_cases(
+        {"beta_true=nan": "plan-nan-beta", "beta_true=inf": "plan-infinite-beta",
+         "epsilon=inf": "plan-infinite-epsilon"})
+    # validate computes every point's theory, so a plan whose closed form has no temperature response,
+    # or leaves the floats, is refused there and not one call later
+    test_theories_are_computed = refusal_cases({
+        name: f"plan-{name}" for name in ("noon-no-response", "thermalizing-no-response", "sn-sigma-m-overflow")})
+    test_phase_window_refused_at_largest_size = refusal_test("plan-phase-window-at-largest-size")
 
     def test_sampled_bath_noon_plan_validates(self):
         bath = BathSpec(100, 1.0, 1.0, max_theta(100, 8), 1.0)
@@ -50,11 +73,14 @@ class TestPlanValidation:
         SweepPlan("noon", (1, 2, 4, 8), 20, 7, bath=bath, bath_mode="sampled_m", repetitions=8).validate()
 
     def test_trials_fit_in_one_stream(self):
-        # trial t draws substream t of its point's stream, which has 2^32 of them
+        # trial t draws substream t of its point's stream, which has 2^32 of them;
+        # a sample spread needs at least two trials
         SweepPlan("thermalizing", (16, 32, 64, 128), 2**32, 0, beta_true=1.0).validate()
+        refuses("plan-one-trial", "plan-trials-beyond-stream")
 
     def test_master_seed_must_be_a_64_bit_integer(self):
         SweepPlan("thermalizing", (16, 32, 64, 128), 10, 2**64 - 1, beta_true=1.0).validate()
+        refuses("plan-negative-seed", "plan-seed-beyond-64-bits", "plan-fractional-seed", "plan-bool-seed")
 
     def test_integer_like_values_are_accepted(self):
         # anything operator.index takes is an integer, numpy's integers included
@@ -65,7 +91,8 @@ class TestPlanValidation:
         SweepPlan("noon", sizes, np.int64(10), seed, bath=bath, repetitions=np.int64(8)).validate()
         assert type(BathSpec(np.int64(100), 1.0, 1.0, 0.01, 1.0).m_atoms) is int
 
-    # every count that a trial hands numpy's binomial as n, which numpy takes as an int64 (2**63 is refused)
+    # every count that a trial hands numpy's binomial as n, which numpy takes as an int64; the refusal of 2**63
+    # is the row named after the count
     DRAWN_COUNTS = {
         "thermalizing size": lambda c: SweepPlan("thermalizing", (16, 32, 64, c), 10, 0, beta_true=1.0),
         "sn size": lambda c: SweepPlan("sn", (16, 32, 64, c), 10, 0, bath=BathSpec(100, 1.0, 1.0, 0.01, 1.0)),
@@ -80,6 +107,7 @@ class TestPlanValidation:
     @pytest.mark.parametrize("what", DRAWN_COUNTS)
     def test_drawn_counts_stay_below_2_63(self, what):
         self.DRAWN_COUNTS[what](2**63 - 1).validate()
+        refuses(f"plan-{what.replace(' ', '-')}-beyond-int64")
 
 
 THERM_PLAN = SweepPlan("thermalizing", (16, 32, 64, 128), 2000, 1001, epsilon=1.0, beta_true=1.0)
@@ -161,6 +189,8 @@ class TestMatchedThermometerSize:
     def test_rounds_up(self):
         assert matched_thermometer_size(101, "heisenberg") == 11
 
+    test_regime_validation = refusal_test("matched-unknown-regime")
+
     @pytest.mark.parametrize("m_atoms", [2, 10, 16, 100, 177])
     def test_consistency_with_precision_formulas(self, m_atoms):
         # calibrate the coupling so that m_atoms single-atom shots reproduce the
@@ -196,6 +226,9 @@ class TestFig1Curves:
         rows = fig1_curves(1.0, grid)
         scaled = [row[2] for row in rows]
         assert scaled.index(min(scaled)) == 0
+
+    test_empty_grid_rejected = refusal_test("fig1-empty-grid")
+
 
 # Small plans of each kind whose result bytes are pinned: a refactor of the
 # engines or of the emitters must leave every byte of every file unchanged.

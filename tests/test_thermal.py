@@ -13,6 +13,7 @@ from thermoscale.thermal import (
     shot_noise_sigma_beta,
     thermal_summary,
 )
+from test_refusals import refusal_test
 
 # shared evaluation grid: x = beta * epsilon in [0.01, 10] for several splittings
 EPSILONS = (0.5, 1.0, 2.0)
@@ -34,6 +35,9 @@ class TestExcitationProbability:
         for eps in EPSILONS:
             probs = [excitation_probability(eps, x / eps) for x in X_GRID]
             assert all(a > b for a, b in zip(probs, probs[1:]))
+
+    test_domain_errors = refusal_test("excitation-zero-epsilon", "excitation-negative-beta")
+
 
 class TestThermalSummary:
     def test_single_atom_symmetry_point(self):
@@ -108,6 +112,15 @@ class TestThermalSummary:
         assert fig1_curves(1e200, [0.0]) == [(0.0, 0.5, 2.0)]
         assert doppler_precision(1e150, 1e150) == pytest.approx(1e-150, rel=1e-15)
 
+    # each of these would return a number (nan, inf, 0.0 or a bound) or raise ZeroDivisionError
+    test_spec_validation = refusal_test(
+        "spec-zero-atoms", "spec-negative-epsilon", "summary-negative-beta", "cr-bound-fractional-repetitions",
+        "cr-bound-bool-repetitions", "cr-bound-nan-fisher", "cr-bound-infinite-fisher", "doppler-infinite-rate",
+        "doppler-infinite-time", "excitation-infinite-epsilon", "invert-infinite-epsilon", "summary-variance-overflow",
+        "summary-variance-nan", "summary-mean-overflow", "shot-noise-variance-overflow", "bath-floor-variance-overflow",
+        "cr-bound-product-overflow", "doppler-product-underflow", "doppler-product-overflow")
+    test_spec_atom_count_is_an_integer = refusal_test("spec-bool-atoms", "spec-float-atoms", "spec-fractional-atoms")
+
 
 class TestShotNoiseSigmaBeta:
     def test_single_atom_symmetry_point(self):
@@ -155,6 +168,9 @@ class TestInvertMeanFraction:
     def test_hand_value(self):
         assert invert_mean_fraction(0.25, 1.0) == pytest.approx(math.log(3.0), rel=1e-15)
 
+    test_boundary_fractions_rejected = refusal_test(
+        "invert-zero-fraction", "invert-unit-fraction", "invert-nan-fraction")
+
     def test_round_trip(self):
         for eps in EPSILONS:
             for i in range(41):
@@ -178,6 +194,9 @@ class TestCrBoundSigma:
         expected = 1.0 / math.sqrt(50.0 * math.e / (1.0 + math.e) ** 2)
         assert cr_bound_sigma(fisher, 1) == pytest.approx(expected, rel=1e-14)
 
+    test_degenerate_fisher = refusal_test("cr-bound-zero-fisher")
+
+
 class TestDopplerPrecision:
     def test_beam_flux_value(self):
         assert doppler_precision(1e15, 1.0) == pytest.approx(10.0**-7.5, rel=1e-12)
@@ -187,3 +206,5 @@ class TestDopplerPrecision:
 
     def test_square_root_law(self):
         assert doppler_precision(4.0, 1.0) == 0.5
+
+    test_domain = refusal_test("doppler-zero-rate", "doppler-zero-time")
