@@ -75,23 +75,15 @@ def run_thermalizing_trials(
     as a float64 array in trial order, NaN where a trial is invalid (possible
     in raw mode).
 
-    Each trial still positions its own stream and makes one
-    :func:`estimate_beta_from_count` call, and so one ``invert_mean_fraction``
-    call, although at most ``n_atoms + 1`` distinct counts occur:
-    ``perfbench/selftest.py`` requires one stream step, one estimator call and
-    one inversion per thermalizing trial. The counts alone could come from
-    one ``RngStream._binomials`` draw, bit for bit the same, as the
-    fixed-bath interferometric trials do; ROADMAP.md open item 2 moves this
-    loop to it once the benchmark counts trials instead of calls.
+    All counts come from one ``RngStream._binomials`` draw, bit for bit
+    ``gen.binomial(n_atoms, p)`` on each trial's generator, and each takes one
+    :func:`estimate_beta_from_count` call, in trial order. The arguments are
+    checked before numpy is imported.
     """
-    import numpy as np
-
     _one_of("estimator", mode, ESTIMATORS)
     n_atoms, epsilon = _binomial_n("spec.n_atoms", spec.n_atoms), spec.epsilon
     p = excitation_probability(epsilon, beta_true)
-    return np.array(
-        [
-            estimate_beta_from_count(gen.binomial(n_atoms, p), n_atoms, epsilon, mode)
-            for gen in rng.generators(trials)
-        ]
-    )
+    counts = memoryview(RngStream._binomials(trials, [(rng, n_atoms, p)])[0])  # Python ints, one at a time
+    import numpy as np
+
+    return np.fromiter((estimate_beta_from_count(k, n_atoms, epsilon, mode) for k in counts), float, len(counts))

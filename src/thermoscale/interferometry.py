@@ -17,7 +17,7 @@ protocol is the entangled one with one atom and one shot per probe. With a
 fixed bath the port probability is the same for every trial of a point, so
 all port counts come from one array draw, ``RngStream._binomials``,
 bit for bit numpy's binomial on each trial's substream; a sweep draws all its
-fixed-bath points at once, in passes of at most 2**14 substreams. With a sampled
+fixed-bath points at once, in equal passes of at most 2**13 substreams. With a sampled
 bath each trial still positions its stream and draws ``m`` and then the port count
 in a Python loop (``perfbench/selftest.py`` requires one stream step per trial on
 that workload), and the port probability is computed once per distinct ``m``.
@@ -349,13 +349,13 @@ def measure_fringe_visibility(
     single shots (each with a freshly drawn bath count; phase point ``j`` draws
     from ``rng.substream(j)``, through :meth:`RngStream.generators`), and reads the fringe
     amplitude off the first Fourier coefficient, which is exact on an even
-    grid of three or more points.
+    grid of three or more points. The arguments are checked before numpy is imported.
     """
-    import numpy as np
-
     n_atoms, phase_points = _at_least("n_atoms", n_atoms), _at_least("phase_points", phase_points, low=3)
     shots_per_point = _at_least("shots", shots, low=phase_points) // phase_points
     m_atoms, p = _binomial_n("bath.m_atoms", bath.m_atoms), bath.excitation
+    import numpy as np
+
     coefficient = 0.0 + 0.0j
     for j, gen in enumerate(rng.generators(phase_points)):
         delta = 2.0 * math.pi * j / phase_points

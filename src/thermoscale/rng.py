@@ -11,10 +11,11 @@ is the one place that builds a numpy ``Philox`` or moves it to a substream;
 ``generator``, ``generators`` and the redraws of ``_binomials`` all go through it.
 
 ``RngStream._binomials`` draws one binomial count per substream of one or more
-streams as array code and gives exactly what numpy's ``Generator.binomial`` gives
-on each substream (see :mod:`thermoscale._binomial`); a trial that the first Philox
-block of its substream does not finish, and every trial of a group where
-numpy inverts the CDF (``min(p, 1 - p) * n <= 30``), is drawn by numpy.
+streams and gives exactly what numpy's ``Generator.binomial`` gives on each
+substream: as array code where numpy samples by BTPE (see :mod:`thermoscale._binomial`),
+redrawing through ``_positioned`` a trial that the first Philox block of its substream
+does not finish, and through ``generators``, one step per trial, where numpy inverts
+the CDF (``min(p, 1 - p) * n <= 30``).
 
 numpy is imported by the methods that build a generator or draw, not by the
 module, so the closed forms and oracles run without it.
@@ -139,8 +140,8 @@ class RngStream:
     @staticmethod
     def _binomials(count: int, draws: list[tuple["RngStream", int, float]]) -> np.ndarray:
         """Row g: ``[gen.binomial(n, p) for gen in stream.generators(count)]`` of ``draws[g]``, bit for bit,
-        for streams of one master seed in one array pass; refuses at the call what ``Generator.binomial``
-        (``n < 0``, ``p`` outside ``[0, 1]`` or NaN) and :meth:`generators` refuse."""
+        for streams of one master seed; refuses at the call what ``Generator.binomial`` (``n < 0``, ``p``
+        outside ``[0, 1]`` or NaN) and :meth:`generators` refuse. A group the kernel does not draw is that loop."""
         groups = []
         for stream, n, p in draws:
             base = stream._first_substream(count)
@@ -148,9 +149,13 @@ class RngStream:
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"p must lie in [0, 1], got {p}")
             groups.append((base, n, p))
-        from ._binomial import first_block_binomials
+        from ._binomial import first_block_binomials, kernel_draws
 
         counts, redraw = first_block_binomials(draws[0][0].master_seed, count, groups)
+        for (stream, _, _), (_, n, p), row, again in zip(draws, groups, counts, redraw):
+            if not kernel_draws(n, p):
+                row[:] = [gen.binomial(n, p) for gen in stream.generators(count)]
+                again[:] = False
         redo = list(zip(*(axis.tolist() for axis in redraw.nonzero())))
         for (g, t), gen in zip(redo, draws[0][0]._positioned([groups[g][0] + t for g, t in redo])):
             counts[g, t] = gen.binomial(*groups[g][1:])

@@ -164,14 +164,14 @@ def collect_sweep_records(plan: SweepPlan) -> list[SweepRecord]:
 
 
 def fit_power_law(points: Sequence[tuple[int, float]]) -> ScalingFit:
-    """OLS fit of ``log(sigma)`` on ``log(n)``; refuses fewer than 4 points."""
-    import numpy as np
-
+    """OLS fit of ``log(sigma)`` on ``log(n)``; refuses fewer than 4 points, before numpy is imported."""
     if len(points) < MIN_FIT_POINTS:
         raise ValueError(f"need at least {MIN_FIT_POINTS} points to fit, got {len(points)}")
     points = [(_at_least("each n", n), _real("each sigma", s)) for n, s in points]
     if len({n for n, _ in points}) < 2:
         raise ValueError(f"need at least two distinct sizes to fit a slope, got only n={points[0][0]}")
+    import numpy as np
+
     log_n = [math.log(n) for n, _ in points]
     log_s = [math.log(s) for _, s in points]
     # ordinary least squares; the slope error uses the correlation clipped to [-1, 1]

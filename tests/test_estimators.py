@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from thermoscale.estimators import estimate_beta_from_count, run_thermalizing_trials
+from thermoscale import _binomial
+from thermoscale.estimators import ESTIMATORS, estimate_beta_from_count, run_thermalizing_trials
 from thermoscale.rng import RngStream
-from thermoscale.thermal import TwoLevelSpec, shot_noise_sigma_beta, thermal_summary
+from thermoscale.thermal import TwoLevelSpec, excitation_probability, shot_noise_sigma_beta, thermal_summary
 from test_refusals import ROWS, refusal_cases, refusal_test
+from test_rng import EDGE_STREAM_IDS, EDGE_STREAMS
 
 # frozen guard for the deterministic 1/N part of the jeffreys estimator bias,
 # calibrated once at 2e4 trials over (n, beta) in {16..1600} x {0.5..3}
@@ -126,3 +128,43 @@ class TestReproducibility:
         a = run_thermalizing_trials(spec, 0.8, 100, "jeffreys", RngStream(31, 4))
         b = run_thermalizing_trials(spec, 0.8, 100, "jeffreys", RngStream(31, 5))
         assert not np.array_equal(a, b)
+
+
+# (n_atoms, beta) at epsilon = 1: numpy inverts the CDF up to min(p, 1 - p) * n = 30 and runs BTPE above,
+# so 111 atoms (n * p = 29.85) are the last size of the loop and 112 (30.1) the first of the kernel; beta = 0
+# gives p = 1/2 exactly, the one p that BTPE does not reflect
+ENGINE_CASES = {"16": (16, 1.0), "111": (111, 1.0), "112": (112, 1.0), "4096": (4096, 1.0),
+                "16-p-half": (16, 0.0), "4096-p-half": (4096, 0.0)}
+
+
+@pytest.mark.parametrize("n_atoms, beta", ENGINE_CASES.values(), ids=list(ENGINE_CASES))
+@pytest.mark.parametrize("mode", ESTIMATORS)
+@pytest.mark.parametrize("stream", EDGE_STREAMS, ids=EDGE_STREAM_IDS)
+def test_engine_equals_the_per_trial_loop(stream, mode, n_atoms, beta):
+    # 3000 trials make the kernel hand some back to numpy for a redraw
+    p = excitation_probability(1.0, beta)
+    loop = [estimate_beta_from_count(gen.binomial(n_atoms, p), n_atoms, 1.0, mode) for gen in stream.generators(3000)]
+    betas = run_thermalizing_trials(TwoLevelSpec(n_atoms, 1.0), beta, 3000, mode, stream)
+    assert betas.dtype == np.float64 and np.array_equal(betas, np.array(loop), equal_nan=True)
+
+
+@pytest.mark.parametrize("n_atoms, steps, kernel_calls", [(16, 300, 1), (4096, 0, 1)], ids=["inversion", "btpe"])
+def test_engine_steps_streams_only_where_numpy_inverts(n_atoms, steps, kernel_calls, monkeypatch):
+    # the benchmark's tracer counts the steps of RngStream.generators, and its self-test pins one per trial
+    # of the 16-atom engine call; a 4096-atom call draws through one kernel call and steps no generator
+    counted, calls = [], []
+    generators, kernel = RngStream.generators, _binomial.first_block_binomials
+
+    def spy_generators(stream, count):
+        for gen in generators(stream, count):
+            counted.append(gen)
+            yield gen
+
+    def spy_kernel(key, count, groups):
+        calls.append(groups)
+        return kernel(key, count, groups)
+
+    monkeypatch.setattr(RngStream, "generators", spy_generators)
+    monkeypatch.setattr(_binomial, "first_block_binomials", spy_kernel)
+    run_thermalizing_trials(TwoLevelSpec(n_atoms, 1.0), 1.0, 300, "jeffreys", RngStream(3))
+    assert len(counted) == steps and len(calls) == kernel_calls

@@ -6,11 +6,11 @@ that command exits 2 with the same message before it draws a stream, prints a li
 Rows are named, not numbered, so a row added anywhere renames no other. The rows in ``KEPT`` are checked
 by tests in other files, which read them through ``refuses``, ``refusal_test`` and ``refusal_cases`` and keep
 the names they had before this table; ``test_library_refuses`` checks every other row. The module imports no
-numpy, and the rows whose call imports numpy before it checks are skipped where numpy is missing.
+numpy, and ``test_refused_before_numpy`` checks that the calls that import it refuse before they do.
 """
 
-import importlib.util
 import math
+import sys
 from functools import partial
 
 import pytest
@@ -348,15 +348,22 @@ def refusal_cases(cases):
     return test
 
 
-# the rows of measure_fringe_visibility, which imports numpy first
-NO_NUMPY = pytest.mark.skipif(importlib.util.find_spec("numpy") is None, reason="the call imports numpy first")
-
-
 @pytest.mark.parametrize("call, fragment", [
-    pytest.param(call, fragment, id=name, marks=[NO_NUMPY] if name.startswith("fringe-") else [])
-    for name, call, fragment in REFUSALS if name not in KEPT
+    pytest.param(call, fragment, id=name) for name, call, fragment in REFUSALS if name not in KEPT
 ])
 def test_library_refuses(call, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        call()
+
+
+# the rows of the calls that import numpy once their arguments pass: the fit, the fringe scan and the
+# thermalizing engine; with numpy blocked, a check made after the import would raise ModuleNotFoundError
+@pytest.mark.parametrize("call, fragment", [
+    pytest.param(call, fragment, id=name)
+    for name, call, fragment in REFUSALS if name.startswith(("fit-", "fringe-", "thermalizing-engine-"))
+])
+def test_refused_before_numpy(call, fragment, monkeypatch):
+    monkeypatch.setitem(sys.modules, "numpy", None)
     with pytest.raises(ValueError, match=fragment):
         call()
 

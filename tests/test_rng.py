@@ -240,14 +240,24 @@ def test_multi_stream_draw_matches_each_stream(stream, count, mirrors, monkeypat
 
 
 def test_kernel_draws_in_bounded_passes(monkeypatch):
-    # passes of at most 9 substreams over 4 groups take 2 substreams of each, so 25 trials cross 12 pass
-    # boundaries; the first group's low counter word carries into word 3 inside the range
+    # passes of at most 9 substreams over the 3 BTPE groups take 2 or 3 substreams of each, so 25 trials
+    # run in 9 passes; the first group's low counter word carries into word 3 inside the range
     key, count = 2**64 - 1, 25
     groups = [(2**64 - 5, 200, 0.47), (3 * 2**64 - 1, 5000, 0.83), (7 * 2**32, 10**4, 0.45), (2**40, 50, 0.3)]
     one_pass = _binomial.first_block_binomials(key, count, groups)
+    passes, doubles = [], _binomial._philox_first_doubles
+
+    def spy(key, bases, width):
+        passes.append((len(bases), width))
+        return doubles(key, bases, width)
+
     monkeypatch.setattr(_binomial, "_PASS", 9)
+    monkeypatch.setattr(_binomial, "_philox_first_doubles", spy)
     counts, redraw = _binomial.first_block_binomials(key, count, groups)
     assert np.array_equal(counts, one_pass[0]) and np.array_equal(redraw, one_pass[1])
+    widths = [width for _, width in passes]
+    assert all(g * width <= 9 for g, width in passes) and max(widths) - min(widths) <= 1 and sum(widths) == count
+    assert len(passes) == 9
     for (base, n, p), row, again in zip(groups, counts, redraw):
         loop = [gen.binomial(n, p) for gen in RngStream(key)._positioned(range(base, base + count))]
         assert np.where(again, loop, row).tolist() == loop
