@@ -138,18 +138,15 @@ def _write(path: str, text: str) -> None:
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     summary = thermal_summary(TwoLevelSpec(n_atoms=args.n, epsilon=args.epsilon), args.beta)
-    for name in ("log_z", "mean_energy", "energy_variance", "eps_bar", "eps_prime", "fisher_info"):
-        print(f"{name}={format_float(getattr(summary, name))}")
+    for name, value in vars(summary).items():
+        print(f"{name}={format_float(value)}")
     return EXIT_OK
 
 
 def _cmd_fig1(args: argparse.Namespace) -> int:
     _at_least("--points", args.points)
     _real("--beta-max", args.beta_max, positive=False)
-    if args.points == 1:
-        grid = [0.0]
-    else:
-        grid = [args.beta_max * i / (args.points - 1) for i in range(args.points)]
+    grid = [args.beta_max * i / max(args.points - 1, 1) for i in range(args.points)]
     lines = ["beta_eps,eps_bar_over_eps,sqrt_n_sigma_beta_eps"]
     lines += [",".join(map(format_float, row)) for row in fig1_curves(args.epsilon, grid)]
     _write(args.out, "".join(line + "\n" for line in lines))

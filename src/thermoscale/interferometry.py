@@ -145,7 +145,7 @@ def noon_outcome_probability(n_atoms: int, phi_b: float) -> float:
     The complementary outcome has probability ``sin^2`` of the same argument.
     With one atom this is the plain fringe ``cos^2(phi_b / 2)``.
     """
-    if type(n_atoms) is not int:  # inline, not _at_least/_real: this runs once per sampled-bath trial
+    if type(n_atoms) is not int:  # inline, not _at_least/_real: called once per distinct bath count
         n_atoms = _index("n_atoms", n_atoms)
     if n_atoms < 1 or not math.isfinite(phi_b):
         raise ValueError(f"need an n_atoms of at least 1 and a finite phi_b, got {n_atoms} and {phi_b!r}")

@@ -85,6 +85,7 @@ class TestSweep:
     ABORTING = "sweep --protocol thermalizing --n-values 1,2,3,4 --trials 30 --beta-true 0.0 --estimator raw --seed 5"
 
     def test_csv_output_and_determinism(self, tmp_path, capsys):
+        pytest.importorskip("numpy")  # runs trials
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert run_cli(*self.BASE, "--out", str(a)) == 0
         assert run_cli(*self.BASE, "--out", str(b)) == 0
@@ -95,6 +96,7 @@ class TestSweep:
         assert "slope=" in capsys.readouterr().out
 
     def test_jsonl_output(self, tmp_path):
+        pytest.importorskip("numpy")  # runs trials
         out = tmp_path / "a.jsonl"
         assert run_cli(*self.BASE, "--out", str(out), "--format", "jsonl") == 0
         lines = out.read_text().splitlines()
@@ -102,6 +104,7 @@ class TestSweep:
         assert '"fit"' in lines[-1]
 
     def test_interferometric_sweep(self, tmp_path):
+        pytest.importorskip("numpy")  # runs trials
         out = tmp_path / "sn.csv"
         assert run_cli(*"sweep --protocol sn --n-values 50,100,200,400 --trials 100 --bath-m 100 --alpha 0.015 "
                         "--tau 1.0 --beta-true 1.0 --bath-mode sampled --seed 3".split(), "--out", str(out)) == 0
@@ -118,11 +121,13 @@ class TestSweep:
         assert "--bath-m" in capsys.readouterr().err
 
     def test_all_invalid_exits_3(self, tmp_path, capsys):
+        pytest.importorskip("numpy")  # runs trials
         assert run_cli(*self.ABORTING.split(), "--out", str(tmp_path / "x.csv")) == 3
         err = capsys.readouterr().err
         assert err.startswith("sweep aborted:") and "n=1" in err
 
     def test_zero_spread_exits_3_and_writes_nothing(self, tmp_path, capsys):
+        pytest.importorskip("numpy")  # runs trials
         # the 12 valid estimates at n=10 all read -0.02000067: no log(sigma) to fit, where this exited 2
         out = tmp_path / "x.csv"
         assert run_cli(*"sweep --protocol sn --n-values 10,20,30,40 --trials 50 --bath-m 100 --alpha 0.001 --tau 1 "
@@ -132,10 +137,12 @@ class TestSweep:
         assert not out.exists()
 
     def test_unwritable_out_exits_4(self, capsys):
+        pytest.importorskip("numpy")  # runs trials
         assert run_cli(*self.BASE, "--out", "/nonexistent-dir/deep/x.csv") == 4
         assert "/nonexistent-dir/deep/x.csv" in capsys.readouterr().err
 
     def test_refused_write_leaves_existing_file_untouched(self, tmp_path, monkeypatch, capsys):
+        pytest.importorskip("numpy")  # runs trials
         # the records are rendered in full before the file is opened, so a value that neither format
         # can carry (exit 2), or an aborted sweep (exit 3), leaves the old file as it was
         out = tmp_path / "results.csv"
@@ -202,6 +209,7 @@ class TestConfigFile:
         assert float(values["mean_energy"]) == pytest.approx(0.5)
 
     def test_sweep_from_config(self, tmp_path):
+        pytest.importorskip("numpy")  # runs trials
         out = tmp_path / "cfg.csv"
         cfg = tmp_path / "sweep.cfg"
         # underscores are accepted too
@@ -235,11 +243,14 @@ class TestConfigFile:
         ids=["equals", "prefix", "last-of-two", "before-the-subcommand"],
     )
     def test_every_spelling_argparse_takes_is_read(self, spelling, tmp_path, capsys):
+        # each spelling prints what the same flags print on the command line
         cfg = tmp_path / "run.cfg"
         cfg.write_text("epsilon = 1.0\nbeta = 0.0\nn = 10\n")
+        assert run_cli("stats", "--epsilon", "1.0", "--beta", "0.0", "--n", "10") == 0
+        flags = capsys.readouterr().out
         assert run_cli(*(token.format(cfg) for token in spelling)) == 0
-        values = printed(capsys)
-        assert float(values["mean_energy"]) == pytest.approx(5.0)
+        assert capsys.readouterr().out == flags
+        assert "\nmean_energy=5\n" in flags
 
     @pytest.mark.parametrize("argv", [["--config"], ["--config", "--n", "3"]], ids=["trailing", "before-a-flag"])
     def test_config_without_a_path_exits_2(self, argv, capsys):
@@ -418,6 +429,9 @@ NUMPY_FREE_COMMANDS = {
     "verify": ["verify"],
     "dephasing": ["dephasing", "--bath-m", "12", "--theta", "0.05", "--n", "3", "--beta-true", "1.0"],
     "fig1": ["fig1", "--epsilon", "1.0", "--beta-max", "10", "--points", "21", "--out", "fig1.csv"],
+    # a bath of more than oracle.MAX_ENUM_ATOMS atoms prints no oracle line
+    "dephasing-large-bath": ["dephasing", "--bath-m", "50", "--theta", "0.05", "--n", "3", "--beta-true", "1.0"],
+    "fig1-200-points": ["fig1", "--epsilon", "1.0", "--beta-max", "10", "--points", "200", "--out", "fig1.csv"],
 }
 
 
